@@ -55,7 +55,6 @@ from .diffusion import (
     ComparisonRow,
     ConvergenceError,
     DiffusionComparison,
-    DiffusionConfig,
     compare_crf_vs_diffusion,
     diffuse_to_steady,
     diffusion_step,

@@ -9,7 +9,8 @@ same config and seed, outputs are byte identical across runs.
 import json
 import os
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import click
@@ -27,6 +28,7 @@ from .cloud import (
 from .crf_continuous import (
     ContinuousCrfState,
     CrfConfig,
+    SimilarityField,
     balance_similarity,
     coordinate_descent_step,
     pairwise_similarity,
@@ -103,10 +105,7 @@ class DiscreteSection:
 
 @dataclass
 class DiffusionSection:
-    coefficient: float = 0.5
     steps: int = 20
-    tol: float = 1e-10
-    max_steps: int | None = None
 
 
 @dataclass
@@ -122,6 +121,45 @@ class RunConfig:
     threads: int = 1
 
 
+_KIND_NAMES = {bool: "a JSON boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _get(section: dict, key: str, default, kind, prefix: str, positive: bool = False):
+    """``section[key]`` (or ``default``), which must be a JSON value of ``kind``.
+
+    Nothing is coerced: ``"false"`` is not a boolean and ``"3"`` is not an
+    integer. Integers count as numbers; None passes for optional keys.
+    """
+    value = section.get(key, default)
+    if value is None and default is None:
+        return None
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{prefix}{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"{prefix}{key} must be > 0, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _object(raw: dict, name: str, allowed: set) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    _take(section, allowed, name)
+    return section
+
+
+def _section(raw: dict, name: str, cls, positive=()):
+    """Build a section dataclass from ``raw[name]``, typed by its annotations."""
+    spec = fields(cls)
+    section = _object(raw, name, {f.name for f in spec})
+    values = {}
+    for f in spec:
+        kind = next(t for t in (*typing.get_args(f.type), f.type) if t is not type(None))
+        values[f.name] = _get(section, f.name, f.default, kind, f"{name}.", f.name in positive)
+    return cls(**values)
+
+
 def load_config(path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -129,68 +167,22 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
     _take(raw, {"input", "output", "graph", "crf", "discrete", "diffusion", "seed", "threads"}, str(path))
-    cfg = RunConfig()
-    inp = raw.get("input", {})
-    _take(inp, {"path", "format"}, "input")
-    cfg.input_path = inp.get("path")
-    cfg.input_format = inp.get("format", cfg.input_format)
-    out = raw.get("output", {})
-    _take(out, {"dir"}, "output")
-    cfg.output_dir = out.get("dir")
-    g = raw.get("graph", {})
-    _take(g, {"method", "k", "dilation", "radius"}, "graph")
-    cfg.graph = GraphSection(
-        method=g.get("method", "knn"),
-        k=int(g.get("k", 8)),
-        dilation=int(g.get("dilation", 1)),
-        radius=g.get("radius"),
+    inp = _object(raw, "input", {"path", "format"})
+    out = _object(raw, "output", {"dir"})
+    cfg = RunConfig(
+        input_path=_get(inp, "path", None, str, "input."),
+        input_format=_get(inp, "format", "csv-xyz", str, "input."),
+        output_dir=_get(out, "dir", None, str, "output."),
+        graph=_section(raw, "graph", GraphSection, positive={"k", "dilation", "radius"}),
+        crf=_section(raw, "crf", CrfSection, positive={"steps"}),
+        discrete=_section(raw, "discrete", DiscreteSection, positive={"steps", "labels"}),
+        diffusion=_section(raw, "diffusion", DiffusionSection, positive={"steps"}),
+        seed=_get(raw, "seed", 0, int, ""),
+        threads=_get(raw, "threads", 1, int, "", positive=True),
     )
-    c = raw.get("crf", {})
-    _take(
-        c,
-        {"steps", "schedule", "epsilon", "compat", "activation", "slope", "tol",
-         "symmetrize", "unary_file", "projection_file"},
-        "crf",
-    )
-    cfg.crf = CrfSection(
-        steps=int(c.get("steps", 10)),
-        schedule=c.get("schedule", "jacobi"),
-        epsilon=float(c.get("epsilon", 1e-4)),
-        compat=c.get("compat", "scaled-identity"),
-        activation=c.get("activation", "leaky_relu"),
-        slope=float(c.get("slope", 0.1)),
-        tol=float(c.get("tol", 0.0)),
-        symmetrize=bool(c.get("symmetrize", False)),
-        unary_file=c.get("unary_file"),
-        projection_file=c.get("projection_file"),
-    )
-    d = raw.get("discrete", {})
-    _take(
-        d,
-        {"steps", "labels", "compat", "kernel_file", "feature_source", "probabilities"},
-        "discrete",
-    )
-    cfg.discrete = DiscreteSection(
-        steps=int(d.get("steps", 5)),
-        labels=d.get("labels"),
-        compat=d.get("compat", "potts-complement"),
-        kernel_file=d.get("kernel_file"),
-        feature_source=d.get("feature_source", "positions"),
-        probabilities=d.get("probabilities"),
-    )
-    f = raw.get("diffusion", {})
-    _take(f, {"coefficient", "steps", "tol", "max_steps"}, "diffusion")
-    cfg.diffusion = DiffusionSection(
-        coefficient=float(f.get("coefficient", 0.5)),
-        steps=int(f.get("steps", 20)),
-        tol=float(f.get("tol", 1e-10)),
-        max_steps=f.get("max_steps"),
-    )
-    cfg.seed = int(raw.get("seed", 0))
-    cfg.threads = int(raw.get("threads", 1))
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     if cfg.graph.method not in ("knn", "dilated-knn", "radius"):
         raise ConfigError("graph.method must be knn, dilated-knn, or radius")
     if cfg.discrete.feature_source not in ("positions", "features", "positions+features"):
@@ -218,18 +210,16 @@ def _load_cloud(cfg: RunConfig) -> PointCloud:
 
 def _build_graph(cfg: RunConfig, cloud: PointCloud):
     g = cfg.graph
-    if g.method == "knn":
-        return knn_graph(cloud, g.k)
-    if g.method == "dilated-knn":
-        return dilated_knn_graph(cloud, g.k, g.dilation)
-    if g.radius is None:
+    if g.method == "radius" and g.radius is None:
         raise ConfigError("graph.radius is required for the radius method")
-    return radius_graph(cloud, float(g.radius))
-
-
-def _smoothing_features(cloud: PointCloud) -> np.ndarray:
-    # Feature-less clouds are smoothed on their coordinates.
-    return cloud.features if cloud.feature_dim > 0 else cloud.positions.copy()
+    try:
+        if g.method == "knn":
+            return knn_graph(cloud, g.k)
+        if g.method == "dilated-knn":
+            return dilated_knn_graph(cloud, g.k, g.dilation)
+        return radius_graph(cloud, g.radius)
+    except ValueError as exc:
+        raise ConfigError(f"graph: {exc}")
 
 
 def _load_transform(path: str | None) -> PointwiseTransform:
@@ -283,13 +273,6 @@ def _crf_config(cfg: RunConfig, dim: int) -> CrfConfig:
         raise ConfigError(str(exc))
 
 
-def _similarity(cfg: RunConfig, guide: np.ndarray, graph):
-    projection = _load_transform(cfg.crf.projection_file)
-    sim = pairwise_similarity(guide, graph, projection)
-    if cfg.crf.symmetrize:
-        sim = balance_similarity(sim)
-    return sim
-
 
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
@@ -316,6 +299,39 @@ def _prepare(config_path, input_path, input_format, output_dir):
     return cfg, out
 
 
+@dataclass
+class _Prelude:
+    """What the smoothing commands share."""
+
+    cfg: RunConfig
+    out: Path
+    cloud: PointCloud
+    guide: np.ndarray  # the smoothed features; they also drive the similarities
+    sim: SimilarityField
+    observed: np.ndarray | None  # unary output, the anchor (anchored runs only)
+    crf: CrfConfig | None
+
+
+def _prelude(config_path, input_path, input_format, output_dir, anchored=True) -> _Prelude:
+    """Load the cloud, build the graph and the (optionally balanced) similarities.
+
+    With ``anchored`` the unary transform is applied and the run's CrfConfig
+    is built too. Feature-less clouds are smoothed on their coordinates.
+    """
+    cfg, out = _prepare(config_path, input_path, input_format, output_dir)
+    cloud = _load_cloud(cfg)
+    graph = _build_graph(cfg, cloud)
+    guide = cloud.features if cloud.feature_dim > 0 else cloud.positions.copy()
+    observed = run_cfg = None
+    if anchored:
+        observed = _load_transform(cfg.crf.unary_file).apply(guide)
+        run_cfg = _crf_config(cfg, observed.shape[1])
+    sim = pairwise_similarity(guide, graph, _load_transform(cfg.crf.projection_file))
+    if cfg.crf.symmetrize:
+        sim = balance_similarity(sim)
+    return _Prelude(cfg, out, cloud, guide, sim, observed, run_cfg)
+
+
 @click.group()
 def main():
     """Point-cloud CRF smoothing, label refinement, and diffusion tools."""
@@ -326,12 +342,9 @@ def main():
 def cmd_build_graph(config_path, input_path, input_format, output_dir):
     """Build the configured neighbor graph and write it as a CSV edge list."""
     cfg, out = _prepare(config_path, input_path, input_format, output_dir)
-    cloud = _load_cloud(cfg)
-    graph = _build_graph(cfg, cloud)
-    rows = []
-    for i, (nbrs, dists) in enumerate(zip(graph.neighbors, graph.edge_weights)):
-        for j, dist in zip(nbrs, dists):
-            rows.append((str(i), str(int(j)), _fmt(dist)))
+    graph = _build_graph(cfg, _load_cloud(cfg))
+    edges = zip(graph.edge_src.tolist(), graph.indices.tolist(), graph.weights.tolist())
+    rows = [(str(i), str(j), _fmt(dist)) for i, j, dist in edges]
     target = out / "graph.csv"
     _write_csv(target, "src,dst,distance", rows)
     click.echo(f"wrote {len(rows)} edges to {target}", err=True)
@@ -342,27 +355,21 @@ def cmd_build_graph(config_path, input_path, input_format, output_dir):
 @click.option("--check-exact", is_flag=True, help="Also solve the exact system and report the deviation.")
 def cmd_smooth(config_path, input_path, input_format, output_dir, check_exact):
     """Run message-passing smoothing; write the smoothed cloud and energy trace."""
-    cfg, out = _prepare(config_path, input_path, input_format, output_dir)
-    cloud = _load_cloud(cfg)
-    graph = _build_graph(cfg, cloud)
-    inputs = _smoothing_features(cloud)
-    unary = _load_transform(cfg.crf.unary_file)
-    observed = unary.apply(inputs)
-    run_cfg = _crf_config(cfg, observed.shape[1])
-    sim = _similarity(cfg, inputs, graph)
-    state = run_crf(ContinuousCrfState.from_observed(observed), sim, run_cfg)
-    smoothed = run_cfg.readout.apply(state.latent)
+    run = _prelude(config_path, input_path, input_format, output_dir)
+    state = run_crf(ContinuousCrfState.from_observed(run.observed), run.sim, run.crf)
+    smoothed = run.crf.readout.apply(state.latent)
 
-    cloud_out = out / ("smoothed.ply" if cfg.input_format == "ply-ascii" else "smoothed.csv")
-    write_cloud(PointCloud(positions=cloud.positions, features=smoothed), cloud_out, cfg.input_format)
-    trace_out = out / "trace.csv"
+    fmt = run.cfg.input_format
+    cloud_out = run.out / ("smoothed.ply" if fmt == "ply-ascii" else "smoothed.csv")
+    write_cloud(PointCloud(positions=run.cloud.positions, features=smoothed), cloud_out, fmt)
+    trace_out = run.out / "trace.csv"
     _write_csv(trace_out, "step,energy",
                [(str(i), _fmt(e)) for i, e in enumerate(state.energy_trace)])
     click.echo(
         f"applied {state.steps_done} steps; wrote {cloud_out} and {trace_out}", err=True
     )
     if check_exact:
-        exact = solve_exact(similarity_energy_model(sim, run_cfg.compat, observed))
+        exact = solve_exact(similarity_energy_model(run.sim, run.crf.compat, run.observed))
         deviation = float(np.max(np.abs(state.latent - exact), initial=0.0))
         click.echo(f"max deviation from exact solve: {_fmt(deviation)}", err=True)
 
@@ -439,13 +446,9 @@ def cmd_refine_labels(config_path, input_path, input_format, output_dir, prob_pa
 @_common_options
 def cmd_diffuse_compare(config_path, input_path, input_format, output_dir):
     """Compare identity-coupled message passing against half-rate diffusion."""
-    cfg, out = _prepare(config_path, input_path, input_format, output_dir)
-    cloud = _load_cloud(cfg)
-    graph = _build_graph(cfg, cloud)
-    observed = _smoothing_features(cloud)
-    sim = _similarity(cfg, observed, graph)
-    report = compare_crf_vs_diffusion(observed, sim, cfg.diffusion.steps)
-    target = out / "compare.csv"
+    run = _prelude(config_path, input_path, input_format, output_dir, anchored=False)
+    report = compare_crf_vs_diffusion(run.guide, run.sim, run.cfg.diffusion.steps)
+    target = run.out / "compare.csv"
     _write_csv(
         target,
         "step,crf_fidelity,crf_dirichlet,diff_fidelity,diff_dirichlet",
@@ -470,37 +473,25 @@ def cmd_diffuse_compare(config_path, input_path, input_format, output_dir):
               help="Record wall times in the CSV (off by default so outputs are deterministic).")
 def cmd_sweep_steps(config_path, input_path, input_format, output_dir, steps_list, timing):
     """Run the smoother at several step counts; record energy and fidelity."""
-    cfg, out = _prepare(config_path, input_path, input_format, output_dir)
     try:
         step_counts = [int(tok) for tok in steps_list.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"bad --steps-list value: {steps_list!r}")
     if not step_counts or any(t < 1 for t in step_counts):
         raise ConfigError("--steps-list needs positive integers")
-    cloud = _load_cloud(cfg)
-    graph = _build_graph(cfg, cloud)
-    inputs = _smoothing_features(cloud)
-    unary = _load_transform(cfg.crf.unary_file)
-    observed = unary.apply(inputs)
-    sim = _similarity(cfg, inputs, graph)
-    base = _crf_config(cfg, observed.shape[1])
+    run = _prelude(config_path, input_path, input_format, output_dir)
     rows = []
     for count in step_counts:
-        run_cfg = CrfConfig(
-            compat=base.compat,
-            steps=count,
-            schedule=base.schedule,
-            convergence_tol=base.convergence_tol,
-            readout=base.readout,
-        )
         start = time.perf_counter()
-        state = run_crf(ContinuousCrfState.from_observed(observed), sim, run_cfg)
+        state = run_crf(
+            ContinuousCrfState.from_observed(run.observed), run.sim, replace(run.crf, steps=count)
+        )
         elapsed = time.perf_counter() - start
-        fidelity = float(np.linalg.norm(state.latent - observed))
+        fidelity = float(np.linalg.norm(state.latent - run.observed))
         recorded = elapsed if timing else 0.0
         rows.append((str(count), _fmt(state.energy_trace[-1]), _fmt(fidelity), _fmt(recorded)))
         click.echo(f"steps={count}: energy={state.energy_trace[-1]!r} ({elapsed:.3f}s)", err=True)
-    target = out / "sweep.csv"
+    target = run.out / "sweep.csv"
     _write_csv(target, "steps,final_energy,fidelity,wall_time_s", rows)
     click.echo(f"wrote {target}", err=True)
 
@@ -509,26 +500,18 @@ def cmd_sweep_steps(config_path, input_path, input_format, output_dir, steps_lis
 @_common_options
 def cmd_check_oracle(config_path, input_path, input_format, output_dir):
     """Verify the iterative solver against the exact closed-form solution."""
-    cfg, out = _prepare(config_path, input_path, input_format, output_dir)
-    cloud = _load_cloud(cfg)
-    graph = _build_graph(cfg, cloud)
-    inputs = _smoothing_features(cloud)
-    unary = _load_transform(cfg.crf.unary_file)
-    observed = unary.apply(inputs)
-    run_cfg = _crf_config(cfg, observed.shape[1])
-    sim = _similarity(cfg, inputs, graph)
-    model = similarity_energy_model(sim, run_cfg.compat, observed)
+    run = _prelude(config_path, input_path, input_format, output_dir)
+    observed, compat = run.observed, run.crf.compat
+    model = similarity_energy_model(run.sim, compat, observed)
 
     # Iterate the general per-node minimizer on the symmetrized edge weights;
     # it shares its fixed point with the exact solve for any input field.
-    s_sym = model.symmetrized_similarity().tolil()
-    neighbors = [np.array(r, dtype=np.int64) for r in s_sym.rows]
-    sims = [np.array(v, dtype=np.float64) for v in s_sym.data]
-    sym_graph = NeighborGraph(num_nodes=graph.num_nodes, neighbors=neighbors)
+    s_sym = model.symmetrized_similarity()
+    sym = NeighborGraph.from_csr(s_sym.shape[0], s_sym.indptr, s_sym.indices, s_sym.data)
     latent = observed.copy()
     sweeps = 0
     for _ in range(ORACLE_MAX_SWEEPS):
-        updated = coordinate_descent_step(observed, latent, sym_graph, sims, run_cfg.compat)
+        updated = coordinate_descent_step(observed, latent, sym, sym.edge_weights, compat)
         change = float(np.max(np.abs(updated - latent), initial=0.0))
         latent = updated
         sweeps += 1
@@ -538,7 +521,7 @@ def cmd_check_oracle(config_path, input_path, input_format, output_dir):
     deviation = float(np.max(np.abs(latent - exact), initial=0.0))
     scale = 1.0 + float(np.max(np.abs(exact), initial=0.0))
     relative = deviation / scale
-    target = out / "oracle.csv"
+    target = run.out / "oracle.csv"
     _write_csv(
         target,
         "max_deviation,relative_deviation,sweeps",

@@ -6,16 +6,22 @@ vector. Graph construction is brute force: at the scales this library targets
 than a spatial index.
 """
 
+import copy
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "CloudParseError",
     "PointCloud",
     "NeighborGraph",
+    "EdgeRows",
+    "segment_reduce",
     "SampleIndex",
     "read_cloud",
     "write_cloud",
@@ -84,72 +90,164 @@ class PointCloud:
         return np.hstack([self.positions, self.features])
 
 
-@dataclass
-class NeighborGraph:
-    """Directed adjacency: per-node ordered neighbor lists, optional edge weights.
+def segment_reduce(values, indptr, ufunc=np.add, empty=0.0) -> np.ndarray:
+    """Reduce flat per-edge values over each CSR row with ``ufunc.reduceat``.
 
-    Neighbor lists never contain the node itself or duplicates. When present,
-    ``edge_weights`` is aligned entry-for-entry with ``neighbors`` and holds
-    nonnegative finite scalars.
+    Row i covers ``values[indptr[i]:indptr[i + 1]]``; empty rows get ``empty``
+    (reduceat alone would misread them). Sums run sequentially in edge order.
+    """
+    values = np.asarray(values)
+    out = np.full((indptr.size - 1,) + values.shape[1:], empty, dtype=values.dtype)
+    starts = indptr[:-1]
+    nonempty = indptr[1:] > starts
+    if values.shape[0]:
+        out[nonempty] = ufunc.reduceat(values, starts[nonempty], axis=0)
+    return out
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class EdgeRows(Sequence):
+    """Read-only per-node views of a flat per-edge array, split on first use."""
+
+    def __init__(self, flat: np.ndarray, indptr: np.ndarray):
+        self.flat = _frozen(flat)
+        self.indptr = indptr
+
+    @cached_property
+    def _rows(self) -> list:
+        return np.split(self.flat, self.indptr[1:-1])[: len(self)]
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def __getitem__(self, node):
+        return self._rows[node]
+
+
+class NeighborGraph:
+    """Directed adjacency in compressed sparse row (CSR) form.
+
+    Node i's neighbors are ``indices[indptr[i]:indptr[i + 1]]`` in stored
+    order; a row never holds the node itself or a duplicate. ``weights``,
+    when present, holds one finite nonnegative scalar per edge, aligned with
+    ``indices``. The constructor takes per-node lists; ``from_csr`` takes the
+    flat arrays. ``neighbors`` and ``edge_weights`` are per-node views.
     """
 
-    num_nodes: int
-    neighbors: list
-    edge_weights: list | None = None
+    def __init__(self, num_nodes: int, neighbors, edge_weights=None):
+        if num_nodes >= 0 and len(neighbors) != num_nodes:
+            raise ValueError(f"expected {num_nodes} neighbor lists, got {len(neighbors)}")
+        rows = [np.asarray(nbrs, dtype=np.int64).reshape(-1) for nbrs in neighbors]
+        indptr = np.concatenate([[0], np.cumsum([r.size for r in rows], dtype=np.int64)])
+        self._set_structure(num_nodes, indptr, np.concatenate(rows) if rows else [])
+        self._set_weights(edge_weights)
 
-    # flattened edge arrays, built once for vectorized message passing
-    edge_src: np.ndarray = field(init=False, repr=False)
-    edge_dst: np.ndarray = field(init=False, repr=False)
+    @classmethod
+    def from_csr(cls, num_nodes: int, indptr, indices, weights=None) -> "NeighborGraph":
+        """Graph from flat CSR arrays (validated like the constructor's lists)."""
+        graph = cls.__new__(cls)
+        graph._set_structure(num_nodes, indptr, indices)
+        graph._set_weights(weights)
+        return graph
 
-    def __post_init__(self):
-        if self.num_nodes < 0:
+    def with_weights(self, weights) -> "NeighborGraph":
+        """The same neighbor structure (shared, not revalidated) with new weights."""
+        graph = copy.copy(self)
+        graph._set_weights(weights)
+        return graph
+
+    def _set_structure(self, num_nodes: int, indptr, indices) -> None:
+        if num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
-        if len(self.neighbors) != self.num_nodes:
+        self.num_nodes = n = int(num_nodes)
+        self.indptr = _frozen(np.asarray(indptr, dtype=np.int64).reshape(-1))
+        self.indices = _frozen(np.asarray(indices, dtype=np.int64).reshape(-1))
+        if (
+            self.indptr.size != n + 1
+            or self.indptr[0] != 0
+            or np.any(np.diff(self.indptr) < 0)
+            or self.indptr[-1] != self.indices.size
+        ):
+            raise ValueError("indptr must rise from 0 to the edge count in num_nodes + 1 entries")
+        src, dst = self.edge_src, self.indices
+        for bad, problem in (
+            (dst == src, "lists itself as a neighbor"),
+            ((dst < 0) | (dst >= n), "has a neighbor index out of range"),
+        ):
+            if bad.any():
+                raise ValueError(f"node {src[np.argmax(bad)]} {problem}")
+        keys = np.sort(src * n + dst)
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            raise ValueError(f"node {keys[repeated[0]] // n} lists a duplicate neighbor")
+
+    def _set_weights(self, weights) -> None:
+        self.__dict__.pop("edge_weights", None)
+        self.weights = None
+        if weights is None:
+            return
+        flat = _frozen(self.edge_array(weights, "edge_weights"))
+        bad = ~np.isfinite(flat) | (flat < 0)
+        if bad.any():
             raise ValueError(
-                f"expected {self.num_nodes} neighbor lists, got {len(self.neighbors)}"
+                f"node {self.edge_src[np.argmax(bad)]}: edge weights must be finite and >= 0"
             )
-        self.neighbors = [np.asarray(nbrs, dtype=np.int64).reshape(-1) for nbrs in self.neighbors]
-        for i, nbrs in enumerate(self.neighbors):
-            if nbrs.size == 0:
-                continue
-            if np.any(nbrs == i):
-                raise ValueError(f"node {i} lists itself as a neighbor")
-            if np.any(nbrs < 0) or np.any(nbrs >= self.num_nodes):
-                raise ValueError(f"node {i} has a neighbor index out of range")
-            if np.unique(nbrs).size != nbrs.size:
-                raise ValueError(f"node {i} lists a duplicate neighbor")
-        if self.edge_weights is not None:
-            if len(self.edge_weights) != self.num_nodes:
-                raise ValueError("edge_weights must have one array per node")
-            self.edge_weights = [
-                np.asarray(w, dtype=np.float64).reshape(-1) for w in self.edge_weights
-            ]
-            for i, (nbrs, w) in enumerate(zip(self.neighbors, self.edge_weights)):
-                if w.shape != nbrs.shape:
-                    raise ValueError(f"node {i}: edge_weights shape differs from neighbors")
-                if not np.all(np.isfinite(w)) or np.any(w < 0):
-                    raise ValueError(f"node {i}: edge weights must be finite and >= 0")
-        counts = [nbrs.size for nbrs in self.neighbors]
-        if sum(counts) > 0:
-            self.edge_src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), counts)
-            self.edge_dst = np.concatenate(self.neighbors)
-        else:
-            self.edge_src = np.empty(0, dtype=np.int64)
-            self.edge_dst = np.empty(0, dtype=np.int64)
+        self.weights = flat
+
+    @cached_property
+    def edge_src(self) -> np.ndarray:
+        """Source node of every edge (the CSR row index, expanded)."""
+        return _frozen(np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees))
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @cached_property
+    def neighbors(self) -> EdgeRows:
+        return EdgeRows(self.indices, self.indptr)
+
+    @cached_property
+    def edge_weights(self) -> EdgeRows | None:
+        return None if self.weights is None else EdgeRows(self.weights, self.indptr)
 
     @property
     def num_edges(self) -> int:
-        return int(self.edge_src.size)
+        return int(self.indices.size)
 
     def degree(self, node: int) -> int:
-        return int(self.neighbors[node].size)
+        return int(self.degrees[node])
 
-    def flat_weights(self) -> np.ndarray:
-        if self.edge_weights is None:
-            raise ValueError("graph carries no edge weights")
-        if self.num_edges == 0:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(self.edge_weights)
+    def edge_array(self, values, name: str) -> np.ndarray:
+        """One float64 per edge, from a flat array or per-node rows aligned with neighbors."""
+        if isinstance(values, EdgeRows) and np.array_equal(values.indptr, self.indptr):
+            values = values.flat
+        if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype != object:
+            if values.size != self.num_edges:
+                raise ValueError(f"expected {self.num_edges} {name} values, got {values.size}")
+            return values.astype(np.float64, copy=False)
+        if len(values) != self.num_nodes:
+            raise ValueError(f"expected {self.num_nodes} {name} rows, got {len(values)}")
+        rows = [np.asarray(v, dtype=np.float64).reshape(-1) for v in values]
+        sizes = np.array([r.size for r in rows], dtype=np.int64)
+        bad = np.flatnonzero(sizes != self.degrees)
+        if bad.size:
+            raise ValueError(f"node {bad[0]}: {name} row shape differs from neighbors")
+        return np.concatenate(rows) if rows else np.empty(0, dtype=np.float64)
+
+    def to_csr(self, values=None) -> sp.csr_matrix:
+        """N x N matrix of ``values`` (default: the weights, else ones), columns sorted."""
+        if values is None:
+            values = np.ones(self.num_edges) if self.weights is None else self.weights
+        n = self.num_nodes
+        matrix = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n), copy=True)
+        matrix.sort_indices()
+        return matrix
 
 
 @dataclass

@@ -10,8 +10,16 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from .cloud import NeighborGraph, PointCloud, knn_graph, knn_interpolate
+from .cloud import (
+    EdgeRows,
+    NeighborGraph,
+    PointCloud,
+    knn_graph,
+    knn_interpolate,
+    segment_reduce,
+)
 from .energy import CompatibilityMatrix, QuadraticEnergyModel, evaluate_energy
 from .transform import Activation, PointwiseTransform
 
@@ -46,37 +54,26 @@ class UnsupportedScheduleError(ValueError):
 class SimilarityField:
     """Per-edge normalized similarities: each node's outgoing values sum to 1.
 
-    Nodes without neighbors carry an empty row. Flattened edge arrays are
-    precomputed so message aggregation is vectorized with a fixed
-    accumulation order (results do not depend on thread count).
+    A neighbor graph plus one flat value per edge (``flat_values``, aligned
+    with ``graph.indices``); ``values`` gives per-node read-only views.
+    Nodes without neighbors carry an empty row. Message aggregation runs
+    with a fixed accumulation order, so results do not depend on thread count.
     """
 
     def __init__(self, graph: NeighborGraph, values):
         self.graph = graph
-        self.values = [np.asarray(v, dtype=np.float64).reshape(-1) for v in values]
-        if len(self.values) != graph.num_nodes:
+        flat = graph.edge_array(values, "similarity")
+        bad = ~np.isfinite(flat) | (flat < 0)
+        if bad.any():
             raise ValueError(
-                f"expected {graph.num_nodes} similarity rows, got {len(self.values)}"
+                f"node {graph.edge_src[np.argmax(bad)]}: similarities must be finite and >= 0"
             )
-        for i, (nbrs, vals) in enumerate(zip(graph.neighbors, self.values)):
-            if vals.shape != nbrs.shape:
-                raise ValueError(f"node {i}: similarity row shape differs from neighbors")
-            if vals.size == 0:
-                continue
-            if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-                raise ValueError(f"node {i}: similarities must be finite and >= 0")
-            if abs(float(vals.sum()) - 1.0) > ROW_SUM_TOL:
-                raise ValueError(
-                    f"node {i}: similarities sum to {vals.sum()!r}, expected 1"
-                )
-        counts = np.array([nbrs.size for nbrs in graph.neighbors], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.flat_values = (
-            np.concatenate(self.values) if offsets[-1] else np.empty(0, dtype=np.float64)
-        )
-        self._nonempty = counts > 0
-        self._starts = offsets[:-1][self._nonempty]
-        self._half_graph = None
+        sums = segment_reduce(flat, graph.indptr)
+        off = np.flatnonzero((graph.degrees > 0) & (np.abs(sums - 1.0) > ROW_SUM_TOL))
+        if off.size:
+            raise ValueError(f"node {off[0]}: similarities sum to {sums[off[0]]!r}, expected 1")
+        self.values = EdgeRows(flat, graph.indptr)
+        self.flat_values = self.values.flat
 
     @property
     def num_nodes(self) -> int:
@@ -86,45 +83,28 @@ class SimilarityField:
         """Per-node sum of edge_value * node_values[neighbor] over outgoing edges."""
         if edge_values is None:
             edge_values = self.flat_values
-        out = np.zeros((self.graph.num_nodes, node_values.shape[1]), dtype=np.float64)
-        if edge_values.size:
-            contrib = edge_values[:, None] * node_values[self.graph.edge_dst]
-            out[self._nonempty] = np.add.reduceat(contrib, self._starts, axis=0)
-        return out
+        contrib = edge_values[:, None] * node_values[self.graph.indices]
+        return segment_reduce(contrib, self.graph.indptr)
 
     def as_weighted_graph(self) -> NeighborGraph:
         """The graph with the normalized similarities as edge weights."""
-        return NeighborGraph(
-            num_nodes=self.graph.num_nodes,
-            neighbors=self.graph.neighbors,
-            edge_weights=[v.copy() for v in self.values],
-        )
+        return self.graph.with_weights(self.flat_values)
 
     def half_weighted_graph(self) -> NeighborGraph:
-        """Graph weighted with half the normalized similarities (cached).
+        """Graph weighted with half the normalized similarities.
 
         Each mutual pair appears in both directed edge sums of the quadratic
         energy; halving makes the energy whose exact per-node minimization
         is the message-passing update, so gauss-seidel traces descend it.
         """
-        if self._half_graph is None:
-            self._half_graph = NeighborGraph(
-                num_nodes=self.graph.num_nodes,
-                neighbors=self.graph.neighbors,
-                edge_weights=[0.5 * v for v in self.values],
-            )
-        return self._half_graph
+        return self.graph.with_weights(0.5 * self.flat_values)
 
     def max_asymmetry(self) -> float:
         """max |s_ij - s_ji| over all edges (missing reverse edges count as 0)."""
-        table = {}
-        for i, (nbrs, vals) in enumerate(zip(self.graph.neighbors, self.values)):
-            for j, v in zip(nbrs, vals):
-                table[(i, int(j))] = float(v)
-        worst = 0.0
-        for (i, j), v in table.items():
-            worst = max(worst, abs(v - table.get((j, i), 0.0)))
-        return worst
+        if not self.graph.num_edges:
+            return 0.0
+        s = self.graph.to_csr(self.flat_values)
+        return float(abs(s - s.T).max())
 
 
 @dataclass
@@ -202,16 +182,28 @@ def pairwise_similarity(
             f"features must have shape ({graph.num_nodes}, d'), got {features.shape}"
         )
     projected = projection.apply(features)
-    values = []
-    for i, nbrs in enumerate(graph.neighbors):
-        if nbrs.size == 0:
-            values.append(np.empty(0, dtype=np.float64))
-            continue
-        diff = projected[nbrs] - projected[i]
-        logits = -np.einsum("nd,nd->n", diff, diff)
-        shifted = np.exp(logits - logits.max())
-        values.append(shifted / shifted.sum())
-    return SimilarityField(graph, values)
+    return SimilarityField(graph, _softmax_similarity(projected, graph))
+
+
+def _softmax_similarity(projected: np.ndarray, graph: NeighborGraph) -> np.ndarray:
+    """Per-row softmax of -|p_j - p_i|^2 over each neighborhood, one value per edge."""
+    src, indptr = graph.edge_src, graph.indptr
+    diff = projected[graph.indices] - projected[src]
+    logits = -np.einsum("ed,ed->e", diff, diff)
+    shifted = np.exp(logits - segment_reduce(logits, indptr, np.maximum, -np.inf)[src])
+    return shifted / segment_reduce(shifted, indptr)[src]
+
+
+def _softmax_similarity_backward(
+    projected: np.ndarray, graph: NeighborGraph, values: np.ndarray, g_values: np.ndarray
+) -> np.ndarray:
+    """Cotangent of the projected features given the similarity cotangents."""
+    src, dst, indptr = graph.edge_src, graph.indices, graph.indptr
+    g_logits = values * (g_values - segment_reduce(values * g_values, indptr)[src])
+    scaled = -2.0 * g_logits[:, None] * (projected[src] - projected[dst])
+    g_projected = segment_reduce(scaled, indptr)
+    np.add.at(g_projected, dst, -scaled)
+    return g_projected
 
 
 def balance_similarity(
@@ -229,7 +221,7 @@ def balance_similarity(
     n = sim.num_nodes
     dense = np.zeros((n, n), dtype=np.float64)
     if sim.graph.num_edges:
-        dense[sim.graph.edge_src, sim.graph.edge_dst] = sim.flat_values
+        dense[sim.graph.edge_src, sim.graph.indices] = sim.flat_values
     dense = 0.5 * (dense + dense.T)
     active = dense.sum(axis=1) > 0
     residual = np.inf
@@ -256,13 +248,9 @@ def balance_similarity(
         dense /= row[:, None]
     else:
         dense = 0.5 * (dense + dense.T)
-    neighbors, values = [], []
-    for i in range(n):
-        nbrs = np.flatnonzero(dense[i])
-        neighbors.append(nbrs)
-        values.append(dense[i, nbrs])
-    graph = NeighborGraph(num_nodes=n, neighbors=neighbors)
-    return SimilarityField(graph, values)
+    support = sp.csr_matrix(dense)
+    graph = NeighborGraph.from_csr(n, support.indptr, support.indices)
+    return SimilarityField(graph, support.data)
 
 
 def similarity_energy_model(
@@ -297,8 +285,9 @@ def crf_step(state: ContinuousCrfState, sim: SimilarityField, cfg: CrfConfig):
         latent = (state.observed + messages @ coupling.T) @ inverse.T
     else:
         latent = state.latent.copy()
-        for i, (nbrs, vals) in enumerate(zip(sim.graph.neighbors, sim.values)):
-            msg = vals @ latent[nbrs] if nbrs.size else np.zeros(cfg.compat.dim)
+        bounds, indices, vals = sim.graph.indptr.tolist(), sim.graph.indices, sim.flat_values
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            msg = vals[a:b] @ latent[indices[a:b]] if b > a else np.zeros(cfg.compat.dim)
             latent[i] = inverse @ (state.observed[i] + coupling @ msg)
     energy = evaluate_energy(
         similarity_energy_model(sim, cfg.compat, state.observed), latent
@@ -368,15 +357,10 @@ def mean_field_covariance(sim: SimilarityField, compat: CompatibilityMatrix) -> 
     With unit row sums this is 0.5 * (I + C)^-1 for every node that has
     neighbors and exactly 0.5 * I for isolated nodes.
     """
-    d = compat.dim
-    eye = np.eye(d)
-    out = np.empty((sim.num_nodes, d, d), dtype=np.float64)
-    for i, vals in enumerate(sim.values):
-        if vals.size == 0:
-            out[i] = 0.5 * eye
-        else:
-            out[i] = 0.5 * np.linalg.inv(eye + float(vals.sum()) * compat.matrix)
-    return out
+    sums = segment_reduce(sim.flat_values, sim.graph.indptr)
+    distinct, which = np.unique(sums, return_inverse=True)
+    inverses = np.linalg.inv(np.eye(compat.dim) + distinct[:, None, None] * compat.matrix)
+    return 0.5 * inverses[which]
 
 
 def coordinate_descent_step(
@@ -394,17 +378,13 @@ def coordinate_descent_step(
     """
     observed = np.asarray(observed, dtype=np.float64)
     latent = np.asarray(latent, dtype=np.float64)
+    s = graph.edge_array(similarities, "similarity")
     coupling = compat.matrix
-    eye = np.eye(compat.dim)
-    out = np.empty_like(latent)
-    for i, nbrs in enumerate(graph.neighbors):
-        s = np.asarray(similarities[i], dtype=np.float64)
-        if nbrs.size:
-            weighted = s @ latent[nbrs]
-            lhs = eye + float(s.sum()) * coupling
-            out[i] = np.linalg.solve(lhs, observed[i] + coupling @ weighted)
-        else:
-            out[i] = observed[i]
+    weighted = segment_reduce(s[:, None] * latent[graph.indices], graph.indptr)
+    lhs = np.eye(compat.dim) + segment_reduce(s, graph.indptr)[:, None, None] * coupling
+    out = np.linalg.solve(lhs, (observed + weighted @ coupling.T)[:, :, None])[:, :, 0]
+    isolated = graph.degrees == 0
+    out[isolated] = observed[isolated]
     return out
 
 
@@ -424,18 +404,12 @@ def mean_field_mean_step(
     """
     observed = np.asarray(observed, dtype=np.float64)
     latent = np.asarray(latent, dtype=np.float64)
+    s = graph.edge_array(similarities, "similarity")
     coupling = compat.matrix
-    eye = np.eye(compat.dim)
-    covariances = np.empty((graph.num_nodes, compat.dim, compat.dim))
-    for i in range(graph.num_nodes):
-        s = np.asarray(similarities[i], dtype=np.float64)
-        covariances[i] = 0.5 * np.linalg.inv(eye + float(s.sum()) * coupling)
-    means = np.empty_like(latent)
-    for i, nbrs in enumerate(graph.neighbors):
-        s = np.asarray(similarities[i], dtype=np.float64)
-        message = coupling @ (s @ latent[nbrs]) if nbrs.size else np.zeros(compat.dim)
-        means[i] = 2.0 * covariances[i] @ (observed[i] + message)
-    return means
+    sums = segment_reduce(s, graph.indptr)
+    covariances = 0.5 * np.linalg.inv(np.eye(compat.dim) + sums[:, None, None] * coupling)
+    message = segment_reduce(s[:, None] * latent[graph.indices], graph.indptr) @ coupling.T
+    return 2.0 * np.einsum("nij,nj->ni", covariances, observed + message)
 
 
 @dataclass
@@ -476,16 +450,7 @@ def crf_gradients(
         raise ValueError("unary output width does not match the compatibility dimension")
     guide = np.asarray(guide_features, dtype=np.float64)
     projected, proj_trace = projection.apply_with_trace(guide)
-    values = []
-    for i, nbrs in enumerate(graph.neighbors):
-        if nbrs.size == 0:
-            values.append(np.empty(0, dtype=np.float64))
-            continue
-        diff = projected[nbrs] - projected[i]
-        logits = -np.einsum("nd,nd->n", diff, diff)
-        shifted = np.exp(logits - logits.max())
-        values.append(shifted / shifted.sum())
-    sim = SimilarityField(graph, values)
+    sim = SimilarityField(graph, _softmax_similarity(projected, graph))
 
     coupling, inverse = _shared_update_matrices(cfg.compat)
     trajectory = [observed.copy()]
@@ -509,7 +474,7 @@ def crf_gradients(
     g_coupling = np.zeros_like(coupling)
     g_inverse = np.zeros_like(inverse)
     g_edge_values = np.zeros_like(sim.flat_values)
-    src, dst = graph.edge_src, graph.edge_dst
+    src, dst = graph.edge_src, graph.indices
     for step in range(len(messages) - 1, -1, -1):
         agg = messages[step]
         previous = trajectory[step]
@@ -519,34 +484,16 @@ def crf_gradients(
         g_observed += g_pre
         g_agg = g_pre @ coupling
         g_coupling += g_pre.T @ agg
-        g_prev = np.zeros_like(previous)
-        if src.size:
-            np.add.at(g_prev, dst, sim.flat_values[:, None] * g_agg[src])
-            g_edge_values += np.einsum("ed,ed->e", g_agg[src], previous[dst])
-        g_hidden = g_prev
+        g_hidden = np.zeros_like(previous)
+        np.add.at(g_hidden, dst, sim.flat_values[:, None] * g_agg[src])
+        g_edge_values += np.einsum("ed,ed->e", g_agg[src], previous[dst])
     g_observed += g_hidden  # the initial latent state is the unary output
 
     # Through the shared (I + C)^-1 factor.
     g_coupling += -(inverse.T @ g_inverse @ inverse.T)
 
     # Softmax and squared-distance backward into the projected guide features.
-    g_projected = np.zeros_like(projected)
-    if src.size:
-        g_logits = np.empty_like(g_edge_values)
-        pos = 0
-        for vals in sim.values:
-            if vals.size == 0:
-                continue
-            rows = slice(pos, pos + vals.size)
-            g_vals = g_edge_values[rows]
-            g_logits[rows] = vals * (g_vals - float(vals @ g_vals))
-            pos += vals.size
-        g_d2 = -g_logits
-        diff = projected[src] - projected[dst]
-        scaled = 2.0 * g_d2[:, None] * diff
-        np.add.at(g_projected, src, scaled)
-        np.add.at(g_projected, dst, -scaled)
-
+    g_projected = _softmax_similarity_backward(projected, graph, sim.flat_values, g_edge_values)
     _, projection_grads = projection.backward(proj_trace, g_projected)
     g_inputs, unary_grads = unary.backward(unary_trace, g_observed)
     g_factor = cfg.compat.factor @ (g_coupling + g_coupling.T)

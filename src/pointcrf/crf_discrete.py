@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import NeighborGraph
+from .cloud import EdgeRows, NeighborGraph, segment_reduce
 from .transform import AffineLayer, read_layer_stack, write_layer_stack
 
 __all__ = [
@@ -178,8 +178,8 @@ class LabelCompatibility:
 
 def kernel_weights(
     features: np.ndarray, graph: NeighborGraph, mix: KernelMixture
-) -> list:
-    """Per-edge kernel values, one array per node aligned with its neighbors."""
+) -> EdgeRows:
+    """Per-edge kernel values: read-only per-node views aligned with the neighbors."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != graph.num_nodes:
         raise ValueError(
@@ -193,19 +193,13 @@ def kernel_weights(
     flat = np.zeros(graph.num_edges, dtype=np.float64)
     for omega, proj in zip(mix.weights, mix.projections):
         projected = features @ proj
-        if graph.num_edges:
-            diff = projected[graph.edge_src] - projected[graph.edge_dst]
-            flat += omega * np.exp(-np.einsum("ed,ed->e", diff, diff))
+        diff = projected[graph.edge_src] - projected[graph.indices]
+        flat += omega * np.exp(-np.einsum("ed,ed->e", diff, diff))
     if np.any(flat < 0):
         warnings.warn(
             "negative mixture weights produced negative edge weights", stacklevel=2
         )
-    out = []
-    pos = 0
-    for nbrs in graph.neighbors:
-        out.append(flat[pos : pos + nbrs.size])
-        pos += nbrs.size
-    return out
+    return EdgeRows(flat, graph.indptr)
 
 
 def _clamped_log_unary(unary: np.ndarray) -> np.ndarray:
@@ -225,28 +219,16 @@ def discrete_crf_step(
         raise ValueError("label field and graph disagree on node count")
     if compat.num_labels != field.num_labels:
         raise ValueError("compatibility size does not match the label count")
-    n, labels = field.unary.shape
-    messages = np.zeros((n, labels), dtype=np.float64)
-    for i, nbrs in enumerate(graph.neighbors):
-        if nbrs.size:
-            w = np.asarray(weights[i], dtype=np.float64)
-            if w.shape != nbrs.shape:
-                raise ValueError(f"node {i}: weights shape differs from neighbors")
-            messages[i] = w @ field.posterior[nbrs]
-    posterior = np.empty_like(field.posterior)
-    log_unary = _clamped_log_unary(field.unary)
-    for i in range(n):
-        if not messages[i].any():
-            row = field.unary[i]
-            if np.all(row >= UNARY_FLOOR):
-                posterior[i] = row
-            else:
-                clamped = np.maximum(row, UNARY_FLOOR)
-                posterior[i] = clamped / clamped.sum()
-            continue
-        logits = log_unary[i] - compat.matrix @ messages[i]
-        shifted = np.exp(logits - logits.max())
-        posterior[i] = shifted / shifted.sum()
+    w = graph.edge_array(weights, "weights")
+    messages = segment_reduce(w[:, None] * field.posterior[graph.indices], graph.indptr)
+    logits = _clamped_log_unary(field.unary) - messages @ compat.matrix.T
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    posterior = shifted / shifted.sum(axis=1, keepdims=True)
+    silent = ~messages.any(axis=1)
+    unary = field.unary[silent]
+    clamped = np.maximum(unary, UNARY_FLOOR)
+    floored = np.all(unary >= UNARY_FLOOR, axis=1, keepdims=True)
+    posterior[silent] = np.where(floored, unary, clamped / clamped.sum(axis=1, keepdims=True))
     return LabelField(unary=field.unary, posterior=posterior)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import NeighborGraph
+from .cloud import NeighborGraph, segment_reduce
 from .energy import CompatibilityMatrix, dirichlet_energy
 from .crf_continuous import (
     ContinuousCrfState,
@@ -20,7 +20,6 @@ from .crf_continuous import (
 from .transform import Activation
 
 __all__ = [
-    "DiffusionConfig",
     "ConvergenceError",
     "diffusion_step",
     "diffuse_to_steady",
@@ -44,30 +43,12 @@ class ConvergenceError(RuntimeError):
         self.steps = steps
 
 
-@dataclass
-class DiffusionConfig:
-    """Diffusion coefficient in (0, 1] and a step count."""
-
-    coefficient: float = DEFAULT_COEFFICIENT
-    steps: int = 1
-
-    def __post_init__(self):
-        if not np.isfinite(self.coefficient) or not 0.0 < self.coefficient <= 1.0:
-            raise ValueError(f"coefficient must lie in (0, 1], got {self.coefficient}")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-
-
 def _weighted_sums(graph: NeighborGraph, signal: np.ndarray):
     """Per-node (sum_j w_ij h_j, sum_j w_ij) over the directed edges."""
-    n = graph.num_nodes
-    agg = np.zeros((n, signal.shape[1]), dtype=np.float64)
-    deg = np.zeros(n, dtype=np.float64)
-    if graph.num_edges:
-        flat = graph.flat_weights()
-        np.add.at(agg, graph.edge_src, flat[:, None] * signal[graph.edge_dst])
-        np.add.at(deg, graph.edge_src, flat)
-    return agg, deg
+    if graph.weights is None:
+        raise ValueError("diffusion requires edge weights")
+    w, indptr = graph.weights, graph.indptr
+    return segment_reduce(w[:, None] * signal[graph.indices], indptr), segment_reduce(w, indptr)
 
 
 def diffusion_step(

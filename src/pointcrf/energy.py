@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cloud import NeighborGraph
+from .cloud import NeighborGraph, segment_reduce
 
 __all__ = [
     "CompatibilityMatrix",
@@ -78,7 +78,7 @@ class CompatibilityMatrix:
 class QuadraticEnergyModel:
     """Fidelity plus smoothness energy on a similarity-weighted graph.
 
-    ``graph.edge_weights`` holds the nonnegative per-edge similarities;
+    ``graph.weights`` holds the nonnegative per-edge similarities;
     ``observed`` is the (N, d) feature array the latent state is anchored to.
     """
 
@@ -87,7 +87,7 @@ class QuadraticEnergyModel:
     observed: np.ndarray
 
     def __post_init__(self):
-        if self.graph.edge_weights is None:
+        if self.graph.weights is None:
             raise ValueError("energy model requires per-edge similarities on the graph")
         self.observed = np.asarray(self.observed, dtype=np.float64)
         if self.observed.ndim != 2 or self.observed.shape[0] != self.graph.num_nodes:
@@ -110,11 +110,7 @@ class QuadraticEnergyModel:
 
     def symmetrized_similarity(self) -> sp.csr_matrix:
         """N x N matrix with entry (i, j) = s_ij + s_ji over the directed edges."""
-        n = self.graph.num_nodes
-        if self.graph.num_edges == 0:
-            return sp.csr_matrix((n, n))
-        vals = self.graph.flat_weights()
-        s = sp.csr_matrix((vals, (self.graph.edge_src, self.graph.edge_dst)), shape=(n, n))
+        s = self.graph.to_csr()
         return (s + s.T).tocsr()
 
 
@@ -131,9 +127,9 @@ def evaluate_energy(model: QuadraticEnergyModel, latent: np.ndarray) -> float:
     resid = latent - model.observed
     total = float(np.einsum("ij,ij->", resid, resid))
     if model.graph.num_edges:
-        diff = latent[model.graph.edge_src] - latent[model.graph.edge_dst]
+        diff = latent[model.graph.edge_src] - latent[model.graph.indices]
         quad = np.einsum("ed,dc,ec->e", diff, model.compat.matrix, diff)
-        total += float(model.graph.flat_weights() @ quad)
+        total += float(model.graph.weights @ quad)
     return total
 
 
@@ -192,16 +188,14 @@ def dirichlet_energy(graph: NeighborGraph, signal: np.ndarray) -> float:
         raise ValueError(
             f"signal length {signal.shape[0]} does not match {graph.num_nodes} nodes"
         )
-    if graph.edge_weights is None:
+    if graph.weights is None:
         raise ValueError("dirichlet_energy requires edge weights")
+    deg = segment_reduce(graph.weights, graph.indptr)
+    mixed = segment_reduce(graph.weights * signal[graph.indices], graph.indptr)
+    # all-zero weights behave like an isolated node
+    active = deg > 0.0
     lh = signal.copy()
-    for i, (nbrs, w) in enumerate(zip(graph.neighbors, graph.edge_weights)):
-        if nbrs.size == 0:
-            continue
-        deg = float(w.sum())
-        if deg <= 0.0:
-            continue  # all-zero weights behave like an isolated node
-        lh[i] -= float(w @ signal[nbrs]) / deg
+    lh[active] -= mixed[active] / deg[active]
     value = float(signal @ lh)
     if value < -1e-12:
         warnings.warn(

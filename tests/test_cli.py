@@ -247,3 +247,35 @@ class TestCheckOracle:
         report = (tmp_path / "out" / "oracle.csv").read_text().splitlines()
         assert report[0] == "max_deviation,relative_deviation,sweeps"
         assert float(report[1].split(",")[1]) <= 1e-8
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "overrides, command, key",
+        [
+            ({"crf": {"symmetrize": "false"}}, "smooth", "crf.symmetrize"),
+            ({"graph": {"k": "eight"}}, "build-graph", "graph.k"),
+            ({"graph": {"k": 2.5}}, "build-graph", "graph.k"),
+            ({"seed": "x"}, "build-graph", "seed"),
+            ({"graph": {"k": 0}}, "build-graph", "graph.k"),
+            ({"graph": {"method": "dilated-knn", "dilation": 0}}, "build-graph", "graph.dilation"),
+            ({"graph": {"method": "radius", "radius": 0.0}}, "build-graph", "graph.radius"),
+            ({"graph": {"method": "radius", "radius": -1.0}}, "build-graph", "graph.radius"),
+            ({"diffusion": {"steps": 0}}, "diffuse-compare", "diffusion.steps"),
+            ({"discrete": {"labels": "3"}}, "build-graph", "discrete.labels"),
+            ({"diffusion": {"coefficient": 5.0}}, "diffuse-compare", "coefficient"),
+            ({"diffusion": {"tol": -1}}, "diffuse-compare", "tol"),
+            ({"diffusion": {"max_steps": "x"}}, "diffuse-compare", "max_steps"),
+        ],
+    )
+    def test_bad_value_is_a_config_error_naming_the_key(
+        self, runner, tmp_path, overrides, command, key
+    ):
+        make_cloud(tmp_path)
+        write_probabilities(tmp_path / "probs.csv", np.full((6, 3), 1.0 / 3.0))
+        overrides.setdefault("discrete", {})["probabilities"] = str(tmp_path / "probs.csv")
+        config = write_config(tmp_path / "config.json", **overrides)
+        result = runner.invoke(main, [command, "--config", str(config)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Error:" in result.output and key in result.output

@@ -1,0 +1,223 @@
+"""The CSR graph core: validation, per-node views, and every flat kernel
+checked against the per-node loop it replaced (references in ``util``)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointcrf import (
+    LabelCompatibility,
+    LabelField,
+    NeighborGraph,
+    PointwiseTransform,
+    SimilarityField,
+    dirichlet_energy,
+    discrete_crf_step,
+    pairwise_similarity,
+)
+from pointcrf.cloud import segment_reduce
+from util import (
+    reference_aggregate,
+    reference_dirichlet,
+    reference_discrete_step,
+    reference_max_asymmetry,
+    reference_similarity,
+)
+
+RTOL = 1e-13
+SHAPES = ["random", "empty", "complete", "star", "components"]
+
+
+@st.composite
+def cases(draw):
+    """(graph, rng): isolated nodes, zero-edge graphs, k >= N - 1 (complete),
+    stars, disconnected cliques; rows in shuffled (not sorted) order."""
+    n = draw(st.integers(1, 10))
+    shape = draw(st.sampled_from(SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "random":
+        adjacency = rng.random((n, n)) < draw(st.floats(0.0, 1.0))
+    elif shape == "complete":
+        adjacency = np.ones((n, n), dtype=bool)
+    elif shape == "star":
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[0, 1:] = adjacency[1:, 0] = True
+    elif shape == "components":
+        component = rng.integers(0, 3, size=n)
+        adjacency = component[:, None] == component[None, :]
+    else:
+        adjacency = np.zeros((n, n), dtype=bool)
+    np.fill_diagonal(adjacency, False)
+    neighbors = [rng.permutation(np.flatnonzero(row)) for row in adjacency]
+    return NeighborGraph(num_nodes=n, neighbors=neighbors), rng
+
+
+def edge_weights(graph, rng):
+    """Nonnegative per-edge weights with roughly a third of the rows all zero."""
+    weights = rng.uniform(0.0, 2.0, size=graph.num_edges)
+    weights[(rng.random(graph.num_nodes) < 0.3)[graph.edge_src]] = 0.0
+    return weights
+
+
+def asymmetric_field(graph, rng):
+    raw = rng.uniform(0.1, 1.0, size=graph.num_edges)
+    return SimilarityField(graph, raw / segment_reduce(raw, graph.indptr)[graph.edge_src])
+
+
+def assert_rows_close(got_rows, want_rows):
+    assert len(got_rows) == len(want_rows)
+    for got, want in zip(got_rows, want_rows):
+        # atol only absorbs subnormal rounding of values that underflow
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases(), st.booleans(), st.sampled_from([1.0, 40.0]))
+def test_similarity_softmax_matches_per_node_loop(case, projected, spread):
+    graph, rng = case
+    # a wide spread puts exp(-d^2) far below the float range unless shifted
+    features = rng.normal(scale=spread, size=(graph.num_nodes, 3))
+    projection = (
+        PointwiseTransform.linear(rng.normal(size=(2, 3))) if projected
+        else PointwiseTransform.identity()
+    )
+    sim = pairwise_similarity(features, graph, projection)
+    assert_rows_close(sim.values, reference_similarity(features, graph, projection))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases())
+def test_aggregate_matches_per_node_loop(case):
+    graph, rng = case
+    sim = asymmetric_field(graph, rng)
+    node_values = rng.uniform(0.5, 2.0, size=(graph.num_nodes, 3))
+    np.testing.assert_allclose(
+        sim.aggregate(node_values), reference_aggregate(graph, sim.values, node_values),
+        rtol=RTOL, atol=0.0,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases())
+def test_discrete_step_matches_per_node_loop(case):
+    graph, rng = case
+    labels = 4
+    unary = rng.dirichlet(np.ones(labels), size=graph.num_nodes)
+    # some entries below the log floor exercise the clamped silent-row branch
+    unary[rng.random(unary.shape) < 0.1] = 0.0
+    unary[unary.sum(axis=1) == 0, 0] = 1.0
+    unary /= unary.sum(axis=1, keepdims=True)
+    posterior = rng.dirichlet(np.ones(labels), size=graph.num_nodes)
+    compat = LabelCompatibility(rng.normal(size=(labels, labels)))
+    weights = edge_weights(graph, rng)
+    got = discrete_crf_step(LabelField(unary, posterior), graph, weights, compat).posterior
+    rows = np.split(weights, graph.indptr[1:-1])
+    want = reference_discrete_step(unary, posterior, graph, rows, compat.matrix)
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases())
+def test_dirichlet_energy_matches_per_node_loop(case):
+    graph, rng = case
+    weighted = graph.with_weights(edge_weights(graph, rng))
+    signal = rng.normal(size=graph.num_nodes)
+    # h^T L h cancels against h^T h, so the tolerance is relative to that
+    np.testing.assert_allclose(
+        dirichlet_energy(weighted, signal), reference_dirichlet(weighted, signal),
+        rtol=RTOL, atol=RTOL * float(signal @ signal),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases())
+def test_max_asymmetry_matches_per_node_loop(case):
+    graph, rng = case
+    sim = asymmetric_field(graph, rng)
+    assert sim.max_asymmetry() == reference_max_asymmetry(graph, sim.values)
+
+
+class TestSegmentReduce:
+    def test_empty_rows_take_the_fill_value(self):
+        indptr = np.array([0, 2, 2, 5, 5])
+        values = np.array([1.0, 2.0, 3.0, -1.0, 4.0])
+        np.testing.assert_array_equal(segment_reduce(values, indptr), [3.0, 0.0, 6.0, 0.0])
+        np.testing.assert_array_equal(
+            segment_reduce(values, indptr, np.maximum, -np.inf), [2.0, -np.inf, 4.0, -np.inf]
+        )
+
+    def test_zero_edges(self):
+        out = segment_reduce(np.empty((0, 2)), np.zeros(4, dtype=np.int64))
+        np.testing.assert_array_equal(out, np.zeros((3, 2)))
+
+
+class TestGraphStorage:
+    def test_per_node_views_are_read_only_slices_of_flat_arrays(self):
+        graph = NeighborGraph(num_nodes=3, neighbors=[[2, 1], [], [0]],
+                              edge_weights=[[0.5, 1.5], [], [2.0]])
+        np.testing.assert_array_equal(graph.indptr, [0, 2, 2, 3])
+        np.testing.assert_array_equal(graph.indices, [2, 1, 0])
+        np.testing.assert_array_equal(graph.weights, [0.5, 1.5, 2.0])
+        assert [list(n) for n in graph.neighbors] == [[2, 1], [], [0]]
+        with pytest.raises(ValueError):
+            graph.edge_weights[0][0] = 9.0
+        with pytest.raises(ValueError):
+            graph.indices[0] = 1
+
+    def test_to_csr_round_trips(self):
+        graph = NeighborGraph(num_nodes=3, neighbors=[[2, 1], [], [0]],
+                              edge_weights=[[0.5, 1.5], [], [2.0]])
+        dense = graph.to_csr().toarray()
+        np.testing.assert_array_equal(dense, [[0, 1.5, 0.5], [0, 0, 0], [2.0, 0, 0]])
+        again = NeighborGraph.from_csr(3, graph.indptr, graph.indices, graph.weights)
+        np.testing.assert_array_equal(again.to_csr().toarray(), dense)
+
+    def test_weighted_graphs_share_the_structure(self):
+        graph = NeighborGraph(num_nodes=2, neighbors=[[1], [0]])
+        sim = SimilarityField(graph, [[1.0], [1.0]])
+        for weighted in (sim.as_weighted_graph(), sim.half_weighted_graph()):
+            assert weighted.indices is graph.indices
+            assert weighted.indptr is graph.indptr
+        np.testing.assert_array_equal(sim.half_weighted_graph().weights, [0.5, 0.5])
+        assert graph.weights is None
+
+
+@pytest.mark.parametrize(
+    "neighbors, weights, message",
+    [
+        ([[1], [0], [2]], None, "node 2 lists itself"),
+        ([[1], [0], [3]], None, "node 2 has a neighbor index out of range"),
+        ([[1], [-1], [0]], None, "node 1 has a neighbor index out of range"),
+        ([[1], [0], [0, 1, 0]], None, "node 2 lists a duplicate"),
+        ([[1], [0], [0]], [[1.0], [1.0], [-0.5]], "node 2: edge weights must be finite"),
+        ([[1], [0], [0]], [[1.0], [np.nan], [1.0]], "node 1: edge weights must be finite"),
+        ([[1], [0], [0]], [[np.inf], [1.0], [1.0]], "node 0: edge weights must be finite"),
+        ([[1], [0], [0]], [[1.0], [1.0, 2.0], [1.0]], "node 1: edge_weights row shape"),
+    ],
+)
+def test_neighbor_graph_rejects_and_names_the_node(neighbors, weights, message):
+    with pytest.raises(ValueError, match=message):
+        NeighborGraph(num_nodes=3, neighbors=neighbors, edge_weights=weights)
+
+
+def test_from_csr_rejects_a_malformed_indptr():
+    with pytest.raises(ValueError, match="indptr"):
+        NeighborGraph.from_csr(2, [0, 2, 1], [1, 0])
+    with pytest.raises(ValueError, match="node 1 lists itself"):
+        NeighborGraph.from_csr(2, [0, 1, 2], [1, 1])
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([[0.5, 0.5], [1.0], [0.7, 0.2]], "node 2: similarities sum to"),
+        ([[1.5, -0.5], [1.0], [0.5, 0.5]], "node 0: similarities must be finite"),
+        ([[0.5, 0.5], [np.nan], [0.5, 0.5]], "node 1: similarities must be finite"),
+        ([[0.5, 0.5], [1.0]], "expected 3 similarity rows"),
+    ],
+)
+def test_similarity_field_rejects_and_names_the_node(values, message):
+    graph = NeighborGraph(num_nodes=3, neighbors=[[1, 2], [0], [0, 1]])
+    with pytest.raises(ValueError, match=message):
+        SimilarityField(graph, values)

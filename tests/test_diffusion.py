@@ -5,7 +5,6 @@ import pytest
 
 from pointcrf import (
     ConvergenceError,
-    DiffusionConfig,
     NeighborGraph,
     SimilarityField,
     compare_crf_vs_diffusion,
@@ -116,14 +115,6 @@ class TestDiffuseToSteady:
             )
         assert info.value.residual > 0
         assert info.value.steps == 50
-
-
-class TestDiffusionConfig:
-    def test_rejects_out_of_range_coefficient(self):
-        with pytest.raises(ValueError):
-            DiffusionConfig(coefficient=0.0)
-        with pytest.raises(ValueError):
-            DiffusionConfig(coefficient=1.5)
 
 
 class TestCompareReport:
