@@ -1,12 +1,13 @@
 """Point-cloud data model, file I/O, neighbor graphs, sampling, and interpolation.
 
 Positions live in 3D Euclidean space; every point carries an optional feature
-vector. Graph construction is brute force: at the scales this library targets
-(thousands of points) an O(N^2) distance table is cheaper and easier to audit
-than a spatial index.
+vector. Every neighbor search goes through one function: a KD-tree proposes
+candidates, squared distances from coordinate differences decide, and ties go
+to the lower index, so graphs equal a brute-force search without its N^2 table.
 """
 
 import copy
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -255,12 +256,9 @@ class SampleIndex:
     """Ordered subset of node indices produced by farthest point sampling."""
 
     selected: np.ndarray
-    ratio: float
 
     def __post_init__(self):
         self.selected = np.asarray(self.selected, dtype=np.int64).reshape(-1)
-        if not 0.0 < self.ratio <= 1.0:
-            raise ValueError(f"ratio must lie in (0, 1], got {self.ratio}")
         if np.unique(self.selected).size != self.selected.size:
             raise ValueError("selected indices must be unique")
 
@@ -433,17 +431,46 @@ def _parse_ply(text: str) -> PointCloud:
 # Graph construction
 # ---------------------------------------------------------------------------
 
-def _squared_distance_table(positions: np.ndarray) -> np.ndarray:
-    # Differences, not the expanded |a|^2+|b|^2-2ab identity: coincident points
-    # must land on exactly 0.0 so tie-breaking matches a brute-force oracle.
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _ranked_pairs(points, queries=None, count=None, r2=None):
+    """Candidate (query, point) pairs sorted by (row, d2, col), with the rank in each row.
+
+    Row i holds every point within the ``count``-th smallest squared distance
+    of ``queries[i]`` (no ``queries``: of point i, itself left out), or within
+    ``r2``. A KD-tree only proposes candidates, searching a ball padded by a
+    relative 1e-9 so points tied at the reach all come back; d2 comes from
+    coordinate differences (coincident points give exactly 0.0) and ties go
+    to the lower index, as in a brute-force search. Many points tied at the
+    reach (e.g. coincident ones) still cost O(N^2).
+    """
+    from scipy.spatial import cKDTree  # deferred: only graph building pays the import
+
+    self_rows = queries is None
+    queries = points if self_rows else queries
+    tree = cKDTree(points)
+    m = queries.shape[0]
+    if count is None:
+        reach = math.sqrt(r2)
+    else:
+        reach = tree.query(queries, k=[min(count + self_rows, len(points))])[0].reshape(m)
+    found = tree.query_ball_point(queries, reach * (1.0 + 1e-9))
+    sizes = np.fromiter(map(len, found), dtype=np.int64, count=m)
+    rows = np.repeat(np.arange(m, dtype=np.int64), sizes)
+    cols = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64, count=rows.size)
+    if self_rows:
+        rows, cols = rows[rows != cols], cols[rows != cols]
+    diff = queries[rows] - points[cols]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    order = np.lexsort((cols, d2, rows))
+    rows, cols, d2 = rows[order], cols[order], d2[order]
+    return rows, cols, d2, np.arange(rows.size) - _indptr(rows, m)[rows]
 
 
-def _sorted_candidates(d2_row: np.ndarray, self_index: int) -> np.ndarray:
-    """All other nodes ordered by (distance, index)."""
-    order = np.lexsort((np.arange(d2_row.size), d2_row))
-    return order[order != self_index]
+def _indptr(rows, m) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+
+
+def _pair_graph(n, rows, cols, d2, keep) -> NeighborGraph:
+    return NeighborGraph.from_csr(n, _indptr(rows[keep], n), cols[keep], np.sqrt(d2[keep]))
 
 
 def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
@@ -452,15 +479,8 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
         raise ValueError("knn_graph requires at least one point")
     if k < 1:
         raise ValueError("k must be >= 1")
-    d2 = _squared_distance_table(cloud.positions)
-    n = cloud.num_points
-    take = min(k, n - 1)
-    neighbors, weights = [], []
-    for i in range(n):
-        cand = _sorted_candidates(d2[i], i)[:take]
-        neighbors.append(cand)
-        weights.append(np.sqrt(d2[i, cand]))
-    return NeighborGraph(num_nodes=n, neighbors=neighbors, edge_weights=weights)
+    rows, cols, d2, rank = _ranked_pairs(cloud.positions, count=k)
+    return _pair_graph(cloud.num_points, rows, cols, d2, rank < k)
 
 
 def dilated_knn_graph(cloud: PointCloud, k: int, dil: int) -> NeighborGraph:
@@ -474,16 +494,9 @@ def dilated_knn_graph(cloud: PointCloud, k: int, dil: int) -> NeighborGraph:
         raise ValueError("dilated_knn_graph requires at least one point")
     if k < 1 or dil < 1:
         raise ValueError("k and dil must be >= 1")
-    d2 = _squared_distance_table(cloud.positions)
-    n = cloud.num_points
-    pool = min(k * dil, n - 1)
-    neighbors, weights = [], []
-    for i in range(n):
-        cand = _sorted_candidates(d2[i], i)[:pool]
-        kept = cand[dil - 1 :: dil][:k]
-        neighbors.append(kept)
-        weights.append(np.sqrt(d2[i, kept]))
-    return NeighborGraph(num_nodes=n, neighbors=neighbors, edge_weights=weights)
+    rows, cols, d2, rank = _ranked_pairs(cloud.positions, count=k * dil)
+    keep = (rank < k * dil) & (rank % dil == dil - 1)
+    return _pair_graph(cloud.num_points, rows, cols, d2, keep)
 
 
 def radius_graph(cloud: PointCloud, r: float) -> NeighborGraph:
@@ -492,15 +505,8 @@ def radius_graph(cloud: PointCloud, r: float) -> NeighborGraph:
         raise ValueError("radius must be > 0")
     if cloud.num_points < 1:
         raise ValueError("radius_graph requires at least one point")
-    d2 = _squared_distance_table(cloud.positions)
-    n = cloud.num_points
-    neighbors, weights = [], []
-    for i in range(n):
-        cand = _sorted_candidates(d2[i], i)
-        cand = cand[d2[i, cand] <= r]
-        neighbors.append(cand)
-        weights.append(np.sqrt(d2[i, cand]))
-    return NeighborGraph(num_nodes=n, neighbors=neighbors, edge_weights=weights)
+    rows, cols, d2, _ = _ranked_pairs(cloud.positions, r2=r)
+    return _pair_graph(cloud.num_points, rows, cols, d2, d2 <= r)
 
 
 def sample_count(ratio: float, num_points: int) -> int:
@@ -538,7 +544,7 @@ def farthest_point_sample(cloud: PointCloud, ratio: float, seed_index: int = 0) 
         diff = cloud.positions - cloud.positions[nxt]
         min_d2 = np.minimum(min_d2, np.einsum("ij,ij->i", diff, diff))
         min_d2[nxt] = -1.0
-    return SampleIndex(selected=np.array(selected, dtype=np.int64), ratio=ratio)
+    return SampleIndex(selected=np.array(selected, dtype=np.int64))
 
 
 def knn_interpolate(coarse: PointCloud, fine_positions: np.ndarray, k: int = 3) -> np.ndarray:
@@ -553,19 +559,15 @@ def knn_interpolate(coarse: PointCloud, fine_positions: np.ndarray, k: int = 3) 
     if k < 1:
         raise ValueError("k must be >= 1")
     fine_positions = np.asarray(fine_positions, dtype=np.float64).reshape(-1, 3)
-    m = fine_positions.shape[0]
-    d = coarse.feature_dim
-    out = np.zeros((m, d), dtype=np.float64)
     take = min(k, coarse.num_points)
-    idx = np.arange(coarse.num_points)
-    for i in range(m):
-        diff = coarse.positions - fine_positions[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        nearest = int(np.lexsort((idx, d2))[0])
-        if d2[nearest] < COINCIDENT_DISTANCE**2:
-            out[i] = coarse.features[nearest]
-            continue
-        cand = np.lexsort((idx, d2))[:take]
-        w = 1.0 / d2[cand]
-        out[i] = (w[:, None] * coarse.features[cand]).sum(axis=0) / w.sum()
+    rows, cols, d2, rank = _ranked_pairs(coarse.positions, fine_positions, count=take)
+    nearest = cols[rank == 0]
+    coincident = d2[rank == 0] < COINCIDENT_DISTANCE**2
+    # copied rows drop out before 1/d^2, so no weight divides by zero
+    keep = (rank < take) & ~coincident[rows]
+    w = 1.0 / d2[keep]
+    indptr = _indptr(rows[keep], len(fine_positions))
+    num = segment_reduce(w[:, None] * coarse.features[cols[keep]], indptr)
+    out = coarse.features[nearest]
+    out[~coincident] = num[~coincident] / segment_reduce(w, indptr)[~coincident, None]
     return out

@@ -111,10 +111,7 @@ def diffuse_to_steady(
 
 def multichannel_dirichlet(graph: NeighborGraph, signal: np.ndarray) -> float:
     """Sum of the per-channel Dirichlet energies of an (N, d) signal."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim == 1:
-        signal = signal[:, None]
-    return float(sum(dirichlet_energy(graph, signal[:, j]) for j in range(signal.shape[1])))
+    return dirichlet_energy(graph, signal)
 
 
 @dataclass

@@ -176,14 +176,15 @@ def solve_exact(model: QuadraticEnergyModel) -> np.ndarray:
 
 
 def dirichlet_energy(graph: NeighborGraph, signal: np.ndarray) -> float:
-    """h^T L h with L the random-walk normalized Laplacian I - D^-1 W.
+    """h^T L h (summed over the channels of an (N, d) h), L = I - D^-1 W.
 
     Nodes without neighbors contribute signal_i^2 (their Laplacian row is the
-    identity row, since D^-1 is undefined there). The normalized Laplacian
-    is not symmetric, so for asymmetric weight patterns the value can dip
-    slightly below zero; a warning flags that instead of symmetrizing.
+    identity row, since D^-1 is undefined there). The random-walk Laplacian L
+    is not symmetric, so for asymmetric weight patterns a channel's value can
+    dip slightly below zero; a warning per such channel flags that.
     """
-    signal = np.asarray(signal, dtype=np.float64).reshape(-1)
+    signal = np.asarray(signal, dtype=np.float64)
+    signal = signal if signal.ndim == 2 else signal.reshape(-1, 1)
     if signal.shape[0] != graph.num_nodes:
         raise ValueError(
             f"signal length {signal.shape[0]} does not match {graph.num_nodes} nodes"
@@ -191,16 +192,16 @@ def dirichlet_energy(graph: NeighborGraph, signal: np.ndarray) -> float:
     if graph.weights is None:
         raise ValueError("dirichlet_energy requires edge weights")
     deg = segment_reduce(graph.weights, graph.indptr)
-    mixed = segment_reduce(graph.weights * signal[graph.indices], graph.indptr)
+    mixed = segment_reduce(graph.weights[:, None] * signal[graph.indices], graph.indptr)
     # all-zero weights behave like an isolated node
     active = deg > 0.0
     lh = signal.copy()
-    lh[active] -= mixed[active] / deg[active]
-    value = float(signal @ lh)
-    if value < -1e-12:
+    lh[active] -= mixed[active] / deg[active, None]
+    values = np.array([signal[:, j] @ lh[:, j] for j in range(signal.shape[1])])
+    for value in values[values < -1e-12]:
         warnings.warn(
             f"Dirichlet energy is negative ({value:.3e}); the normalized Laplacian "
             "is asymmetric for this weight pattern",
             stacklevel=2,
         )
-    return value
+    return float(sum(values))

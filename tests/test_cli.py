@@ -195,7 +195,8 @@ class TestDiffuseCompare:
     def test_report_columns_and_step_one_equality(self, runner, tmp_path):
         make_cloud(tmp_path, n=8)
         config = write_config(tmp_path / "config.json", diffusion={"steps": 5})
-        result = runner.invoke(main, ["diffuse-compare", "--config", str(config)])
+        with pytest.warns(UserWarning, match="Dirichlet energy is negative"):
+            result = runner.invoke(main, ["diffuse-compare", "--config", str(config)])
         assert result.exit_code == 0, result.output
         rows = (tmp_path / "out" / "compare.csv").read_text().splitlines()
         assert rows[0] == "step,crf_fidelity,crf_dirichlet,diff_fidelity,diff_dirichlet"

@@ -8,6 +8,7 @@ from pointcrf import (
     PointCloud,
     SimilarityField,
 )
+from pointcrf.cloud import COINCIDENT_DISTANCE
 
 
 def random_cloud(rng, n, d=3, spread=1.0):
@@ -147,3 +148,55 @@ def reference_max_asymmetry(graph, values):
         for j, v in zip(nbrs, vals):
             table[(i, int(j))] = float(v)
     return max((abs(v - table.get((j, i), 0.0)) for (i, j), v in table.items()), default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force neighbor search: the O(N^2) ranking the graph builders and
+# knn_interpolate used before the KD-tree candidate core, kept as its oracle.
+# ---------------------------------------------------------------------------
+
+def reference_ranking(points, queries=None):
+    """Per query: (indices, squared distances) of all points in (d2, index) order.
+
+    Squared distances come from coordinate differences, so coincident points
+    give exactly 0.0. Without ``queries`` the points query themselves and row
+    i leaves point i out.
+    """
+    self_rows = queries is None
+    queries = points if self_rows else np.asarray(queries, dtype=np.float64)
+    diff = queries[:, None, :] - points[None, :, :]
+    table = np.einsum("ijk,ijk->ij", diff, diff)
+    rows = []
+    for i, d2 in enumerate(table):
+        order = np.lexsort((np.arange(d2.size), d2))
+        if self_rows:
+            order = order[order != i]
+        rows.append((order, d2[order]))
+    return rows
+
+
+def reference_knn(positions, k, dil=1):
+    """Per node: ranks dil, 2*dil, ..., k*dil of the brute-force order, with distances."""
+    return [
+        (idx[: k * dil][dil - 1 :: dil], np.sqrt(d2[: k * dil][dil - 1 :: dil]))
+        for idx, d2 in reference_ranking(positions)
+    ]
+
+
+def reference_radius(positions, r):
+    """Per node: every other point with squared distance <= r, with distances."""
+    return [(idx[d2 <= r], np.sqrt(d2[d2 <= r])) for idx, d2 in reference_ranking(positions)]
+
+
+def reference_interpolate(coarse, fine_positions, k):
+    """Per fine point: 1/d^2-weighted mean of the min(k, M) nearest coarse
+    features, or the nearest feature verbatim when closer than 1e-12."""
+    take = min(k, coarse.num_points)
+    out = np.zeros((len(fine_positions), coarse.feature_dim))
+    for i, (idx, d2) in enumerate(reference_ranking(coarse.positions, fine_positions)):
+        if d2[0] < COINCIDENT_DISTANCE**2:
+            out[i] = coarse.features[idx[0]]
+            continue
+        w = 1.0 / d2[:take]
+        out[i] = (w[:, None] * coarse.features[idx[:take]]).sum(axis=0) / w.sum()
+    return out
