@@ -509,12 +509,10 @@ def cmd_check_oracle(config_path, input_path, input_format, output_dir):
     s_sym = model.symmetrized_similarity()
     sym = NeighborGraph.from_csr(s_sym.shape[0], s_sym.indptr, s_sym.indices, s_sym.data)
     latent = observed.copy()
-    sweeps = 0
-    for _ in range(ORACLE_MAX_SWEEPS):
+    for sweeps in range(1, ORACLE_MAX_SWEEPS + 1):
         updated = coordinate_descent_step(observed, latent, sym, sym.edge_weights, compat)
         change = float(np.max(np.abs(updated - latent), initial=0.0))
         latent = updated
-        sweeps += 1
         if change < ORACLE_TOL:
             break
     exact = solve_exact(model)

@@ -559,6 +559,8 @@ def knn_interpolate(coarse: PointCloud, fine_positions: np.ndarray, k: int = 3) 
     if k < 1:
         raise ValueError("k must be >= 1")
     fine_positions = np.asarray(fine_positions, dtype=np.float64).reshape(-1, 3)
+    if not np.all(np.isfinite(fine_positions)):
+        raise ValueError("fine_positions must be finite")
     take = min(k, coarse.num_points)
     rows, cols, d2, rank = _ranked_pairs(coarse.positions, fine_positions, count=take)
     nearest = cols[rank == 0]

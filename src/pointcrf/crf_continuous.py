@@ -213,44 +213,49 @@ def balance_similarity(
 
     Averages each edge with its reverse, then alternately normalizes rows and
     columns (Sinkhorn) on the symmetric support and symmetrizes the result.
+    The iterate is diag(r) A diag(c) on the averaged support A: rows set
+    r = 1 / (A c) where active, columns c = 1 / (A^T r) where nonzero, and
+    the residuals reuse both products, so a sweep is two sparse matvecs.
     A symmetric field makes the message-passing update exact coordinate
     descent of the halved-similarity energy, which guarantees non-increasing
-    gauss-seidel traces. Warns if balancing stalls (some sparsity patterns,
-    e.g. stars, admit no doubly stochastic scaling).
+    gauss-seidel traces. A stalled run (some sparsity patterns, e.g. stars,
+    admit no doubly stochastic scaling) warns and ends on a row normalization.
     """
     n = sim.num_nodes
-    dense = np.zeros((n, n), dtype=np.float64)
-    if sim.graph.num_edges:
-        dense[sim.graph.edge_src, sim.graph.indices] = sim.flat_values
-    dense = 0.5 * (dense + dense.T)
-    active = dense.sum(axis=1) > 0
+    s = sim.graph.to_csr(sim.flat_values)
+    a = 0.5 * (s + s.T)
+    at = a.T
+    r, c = np.ones(n), np.ones(n)
+    ac = a @ c
+    active = ac > 0
     residual = np.inf
     for _ in range(max_iterations):
-        row = dense.sum(axis=1)
-        row[~active] = 1.0
-        dense /= row[:, None]
-        col = dense.sum(axis=0)
-        col[col == 0] = 1.0
-        dense /= col[None, :]
-        row_res = np.abs(dense.sum(axis=1)[active] - 1.0).max(initial=0.0)
-        col_res = np.abs(dense.sum(axis=0)[active] - 1.0).max(initial=0.0)
-        residual = max(row_res, col_res)
+        np.divide(1.0, ac, out=r, where=active)
+        atr = at @ r
+        np.divide(1.0, atr, out=c, where=atr != 0)
+        ac = a @ c
+        residual = np.abs(np.stack((r * ac, c * atr)) - 1.0).max(initial=0.0, where=active)
         if residual < tol:
             break
+        if max(r.max(initial=1.0), c.max(initial=1.0)) > 1e100:
+            # unscalable supports (stars) push scalings to overflow: fold into A
+            a = sp.diags(r) @ a @ sp.diags(c)
+            at = a.T
+            ac *= r
+            r[:], c[:] = 1.0, 1.0
     if residual >= 1e-9:
         warnings.warn(
             f"similarity balancing stalled at residual {residual:.3e}; "
             "the support may admit no doubly stochastic scaling",
             stacklevel=2,
         )
-        row = dense.sum(axis=1)
-        row[~active] = 1.0
-        dense /= row[:, None]
-    else:
-        dense = 0.5 * (dense + dense.T)
-    support = sp.csr_matrix(dense)
-    graph = NeighborGraph.from_csr(n, support.indptr, support.indices)
-    return SimilarityField(graph, support.data)
+        np.divide(1.0, ac, out=r, where=active)
+    p = sp.diags(r) @ a @ sp.diags(c)
+    p = sp.csr_matrix(p if residual >= 1e-9 else 0.5 * (p + p.T))
+    p.eliminate_zeros()
+    p.sort_indices()
+    graph = NeighborGraph.from_csr(n, p.indptr, p.indices)
+    return SimilarityField(graph, p.data)
 
 
 def similarity_energy_model(
@@ -263,9 +268,7 @@ def similarity_energy_model(
 
 
 def _shared_update_matrices(compat: CompatibilityMatrix):
-    coupling = compat.matrix
-    inverse = np.linalg.inv(np.eye(compat.dim) + coupling)
-    return coupling, inverse
+    return compat.matrix, np.linalg.inv(np.eye(compat.dim) + compat.matrix)
 
 
 def crf_step(state: ContinuousCrfState, sim: SimilarityField, cfg: CrfConfig):

@@ -86,10 +86,9 @@ def diffuse_to_steady(
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    signal = np.asarray(signal, dtype=np.float64)
     if max_steps is None:
         max_steps = 10 * graph.num_nodes
-    current = signal.astype(np.float64, copy=True)
+    current = np.array(signal, dtype=np.float64)
     for step in range(max_steps):
         candidate = diffusion_step(current, graph, coefficient)
         change = float(np.max(np.abs(candidate - current), initial=0.0))

@@ -26,9 +26,10 @@ __all__ = [
 
 DEFAULT_EPSILON = 1e-4
 
-# Unknown counts up to this use a dense factorization; larger systems switch
-# to conjugate gradients. Both paths must meet the same residual bound.
-DENSE_SOLVE_LIMIT = 4096
+# Up to this many unknowns a sparse direct factorization solves to round-off;
+# larger systems use conjugate gradients, as the factor's fill-in grows fast.
+# Both paths must meet the same residual bound.
+DIRECT_SOLVE_LIMIT = 4096
 
 RESIDUAL_BOUND = 1e-8
 
@@ -128,7 +129,7 @@ def evaluate_energy(model: QuadraticEnergyModel, latent: np.ndarray) -> float:
     total = float(np.einsum("ij,ij->", resid, resid))
     if model.graph.num_edges:
         diff = latent[model.graph.edge_src] - latent[model.graph.indices]
-        quad = np.einsum("ed,dc,ec->e", diff, model.compat.matrix, diff)
+        quad = np.einsum("ed,ed->e", diff @ model.compat.matrix, diff)
         total += float(model.graph.weights @ quad)
     return total
 
@@ -155,24 +156,21 @@ def solve_exact(model: QuadraticEnergyModel) -> np.ndarray:
     the system is positive definite by construction, so this only trips on
     solver breakdown.
     """
-    n, d = model.num_nodes, model.dim
-    if n == 0 or d == 0:
+    if model.observed.size == 0:
         return model.observed.copy()
     system = _system_operator(model)
     rhs = model.observed.ravel()
-    unknowns = n * d
-    if unknowns <= DENSE_SOLVE_LIMIT:
-        solution = np.linalg.solve(system.toarray(), rhs)
+    bound = RESIDUAL_BOUND * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
+    if rhs.size <= DIRECT_SOLVE_LIMIT:
+        solution = spla.spsolve(system.tocsc(), rhs)
     else:
-        bound = RESIDUAL_BOUND * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
-        solution, info = spla.cg(system, rhs, rtol=1e-14, atol=0.1 * bound, maxiter=50 * unknowns)
+        solution, info = spla.cg(system, rhs, rtol=1e-14, atol=0.1 * bound, maxiter=50 * rhs.size)
         if info != 0:
             raise SolveError(f"conjugate gradient did not converge (info={info})")
     residual = float(np.max(np.abs(system @ solution - rhs), initial=0.0))
-    bound = RESIDUAL_BOUND * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
     if residual > bound:
         raise SolveError(f"solver residual {residual:.3e} exceeds bound {bound:.3e}")
-    return solution.reshape(n, d)
+    return solution.reshape(model.observed.shape)
 
 
 def dirichlet_energy(graph: NeighborGraph, signal: np.ndarray) -> float:

@@ -344,3 +344,10 @@ class TestKnnInterpolate:
         out = knn_interpolate(coarse, fine, k=3)
         assert np.all(out >= coarse.features.min() - 1e-12)
         assert np.all(out <= coarse.features.max() + 1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fine_point_is_named(self, bad):
+        coarse = collinear_cloud([0.0, 2.0], features=[[0.0], [3.0]])
+        fine = np.array([[0.5, 0.0, 0.0], [bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="fine_positions must be finite"):
+            knn_interpolate(coarse, fine, k=2)

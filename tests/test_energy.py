@@ -1,5 +1,7 @@
 """Quadratic energy model: evaluation, exact solve, Dirichlet energy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ import pointcrf.energy as energy_mod
 from pointcrf import (
     CompatibilityMatrix,
     NeighborGraph,
+    PointCloud,
     QuadraticEnergyModel,
     dirichlet_energy,
     evaluate_energy,
+    knn_graph,
     solve_exact,
 )
 from util import random_pd_compat, random_symmetric_graph, symmetric_stochastic_field
@@ -158,9 +162,33 @@ class TestSolveExact:
         rng = np.random.default_rng(10)
         model = random_model(rng, 20, 3)
         dense = solve_exact(model)
-        monkeypatch.setattr(energy_mod, "DENSE_SOLVE_LIMIT", 0)
+        monkeypatch.setattr(energy_mod, "DIRECT_SOLVE_LIMIT", 0)
         iterative = solve_exact(model)
         np.testing.assert_allclose(iterative, dense, atol=1e-8)
+
+    def test_direct_path_memory_grows_with_edges(self):
+        """Largest direct solve (4096 unknowns) stays sparse.
+
+        tracemalloc sees the Python-side allocations only, not SuperLU's own
+        factor storage, so this guards against re-densifying the system
+        (a dense copy alone is 134 MB), not the factorization's fill-in.
+        """
+        rng = np.random.default_rng(1024)
+        n, d = 1024, 4
+        assert n * d == energy_mod.DIRECT_SOLVE_LIMIT
+        cloud = PointCloud(positions=rng.uniform(size=(n, 3)), features=np.zeros((n, 1)))
+        model = QuadraticEnergyModel(
+            graph=knn_graph(cloud, 8).with_weights(rng.uniform(size=n * 8)),
+            compat=random_pd_compat(rng, d),
+            observed=rng.normal(size=(n, d)),
+        )
+        tracemalloc.start()
+        try:
+            solve_exact(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestDirichletEnergy:

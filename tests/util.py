@@ -1,6 +1,9 @@
 """Shared builders for randomized test instances."""
 
+import warnings
+
 import numpy as np
+import scipy.sparse as sp
 
 from pointcrf import (
     CompatibilityMatrix,
@@ -200,3 +203,45 @@ def reference_interpolate(coarse, fine_positions, k):
         w = 1.0 / d2[:take]
         out[i] = (w[:, None] * coarse.features[idx[:take]]).sum(axis=0) / w.sum()
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense Sinkhorn balancing: the N x N loop balance_similarity ran before it
+# moved to two scaling vectors on the sparse support, kept as its oracle.
+# ---------------------------------------------------------------------------
+
+def reference_balance(sim, max_iterations=5000, tol=1e-13):
+    """Alternate row and column normalization on the dense symmetrized field."""
+    n = sim.num_nodes
+    dense = np.zeros((n, n), dtype=np.float64)
+    if sim.graph.num_edges:
+        dense[sim.graph.edge_src, sim.graph.indices] = sim.flat_values
+    dense = 0.5 * (dense + dense.T)
+    active = dense.sum(axis=1) > 0
+    residual = np.inf
+    for _ in range(max_iterations):
+        row = dense.sum(axis=1)
+        row[~active] = 1.0
+        dense /= row[:, None]
+        col = dense.sum(axis=0)
+        col[col == 0] = 1.0
+        dense /= col[None, :]
+        row_res = np.abs(dense.sum(axis=1)[active] - 1.0).max(initial=0.0)
+        col_res = np.abs(dense.sum(axis=0)[active] - 1.0).max(initial=0.0)
+        residual = max(row_res, col_res)
+        if residual < tol:
+            break
+    if residual >= 1e-9:
+        warnings.warn(
+            f"similarity balancing stalled at residual {residual:.3e}; "
+            "the support may admit no doubly stochastic scaling",
+            stacklevel=2,
+        )
+        row = dense.sum(axis=1)
+        row[~active] = 1.0
+        dense /= row[:, None]
+    else:
+        dense = 0.5 * (dense + dense.T)
+    support = sp.csr_matrix(dense)
+    graph = NeighborGraph.from_csr(n, support.indptr, support.indices)
+    return SimilarityField(graph, support.data)
