@@ -251,7 +251,10 @@ def _compat_for(cfg: RunConfig, dim: int) -> CompatibilityMatrix:
         return CompatibilityMatrix.identity(dim)
     if choice == "scaled-identity":
         return CompatibilityMatrix(factor=np.eye(dim), epsilon=cfg.crf.epsilon)
-    factor = _read_matrix_csv(choice)
+    try:
+        factor = _read_matrix_csv(choice)
+    except FileNotFoundError:
+        raise ConfigError(f"compat factor file not found: {choice}")
     if factor.shape != (dim, dim):
         raise ConfigError(
             f"compat factor {choice} has shape {factor.shape}, expected ({dim}, {dim})"

@@ -137,7 +137,9 @@ class NeighborGraph:
     order; a row never holds the node itself or a duplicate. ``weights``,
     when present, holds one finite nonnegative scalar per edge, aligned with
     ``indices``. The constructor takes per-node lists; ``from_csr`` takes the
-    flat arrays. ``neighbors`` and ``edge_weights`` are per-node views.
+    flat arrays. ``neighbors`` and ``edge_weights`` are per-node views, and
+    ``operator`` is the weights as a cached N x N CSR matrix, so every
+    weighted neighbor sum is one product ``graph.operator @ x``.
     """
 
     def __init__(self, num_nodes: int, neighbors, edge_weights=None):
@@ -189,6 +191,7 @@ class NeighborGraph:
 
     def _set_weights(self, weights) -> None:
         self.__dict__.pop("edge_weights", None)
+        self.__dict__.pop("operator", None)
         self.weights = None
         if weights is None:
             return
@@ -216,6 +219,11 @@ class NeighborGraph:
     @cached_property
     def edge_weights(self) -> EdgeRows | None:
         return None if self.weights is None else EdgeRows(self.weights, self.indptr)
+
+    @cached_property
+    def operator(self) -> sp.csr_matrix:
+        """``to_csr()`` of the weights, built once and shared by every product."""
+        return self.to_csr()
 
     @property
     def num_edges(self) -> int:

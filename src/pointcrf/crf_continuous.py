@@ -56,8 +56,10 @@ class SimilarityField:
 
     A neighbor graph plus one flat value per edge (``flat_values``, aligned
     with ``graph.indices``); ``values`` gives per-node read-only views.
-    Nodes without neighbors carry an empty row. Message aggregation runs
-    with a fixed accumulation order, so results do not depend on thread count.
+    Nodes without neighbors carry an empty row. Message aggregation is one
+    product with the cached CSR operator of the weighted graph, which sums
+    each row sequentially in column order, so results do not depend on
+    thread count.
     """
 
     def __init__(self, graph: NeighborGraph, values):
@@ -74,21 +76,19 @@ class SimilarityField:
             raise ValueError(f"node {off[0]}: similarities sum to {sums[off[0]]!r}, expected 1")
         self.values = EdgeRows(flat, graph.indptr)
         self.flat_values = self.values.flat
+        self._weighted = graph.with_weights(self.flat_values)
 
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
-    def aggregate(self, node_values: np.ndarray, edge_values: np.ndarray | None = None):
-        """Per-node sum of edge_value * node_values[neighbor] over outgoing edges."""
-        if edge_values is None:
-            edge_values = self.flat_values
-        contrib = edge_values[:, None] * node_values[self.graph.indices]
-        return segment_reduce(contrib, self.graph.indptr)
+    def aggregate(self, node_values: np.ndarray) -> np.ndarray:
+        """Per-node sum of similarity * node_values[neighbor] over outgoing edges."""
+        return self._weighted.operator @ node_values
 
     def as_weighted_graph(self) -> NeighborGraph:
         """The graph with the normalized similarities as edge weights."""
-        return self.graph.with_weights(self.flat_values)
+        return self._weighted
 
     def half_weighted_graph(self) -> NeighborGraph:
         """Graph weighted with half the normalized similarities.
@@ -103,7 +103,7 @@ class SimilarityField:
         """max |s_ij - s_ji| over all edges (missing reverse edges count as 0)."""
         if not self.graph.num_edges:
             return 0.0
-        s = self.graph.to_csr(self.flat_values)
+        s = self._weighted.operator
         return float(abs(s - s.T).max())
 
 
@@ -222,7 +222,7 @@ def balance_similarity(
     admit no doubly stochastic scaling) warns and ends on a row normalization.
     """
     n = sim.num_nodes
-    s = sim.graph.to_csr(sim.flat_values)
+    s = sim.as_weighted_graph().operator
     a = 0.5 * (s + s.T)
     at = a.T
     r, c = np.ones(n), np.ones(n)
@@ -383,7 +383,7 @@ def coordinate_descent_step(
     latent = np.asarray(latent, dtype=np.float64)
     s = graph.edge_array(similarities, "similarity")
     coupling = compat.matrix
-    weighted = segment_reduce(s[:, None] * latent[graph.indices], graph.indptr)
+    weighted = graph.to_csr(s) @ latent
     lhs = np.eye(compat.dim) + segment_reduce(s, graph.indptr)[:, None, None] * coupling
     out = np.linalg.solve(lhs, (observed + weighted @ coupling.T)[:, :, None])[:, :, 0]
     isolated = graph.degrees == 0
@@ -411,7 +411,7 @@ def mean_field_mean_step(
     coupling = compat.matrix
     sums = segment_reduce(s, graph.indptr)
     covariances = 0.5 * np.linalg.inv(np.eye(compat.dim) + sums[:, None, None] * coupling)
-    message = segment_reduce(s[:, None] * latent[graph.indices], graph.indptr) @ coupling.T
+    message = graph.to_csr(s) @ latent @ coupling.T
     return 2.0 * np.einsum("nij,nj->ni", covariances, observed + message)
 
 
@@ -478,6 +478,7 @@ def crf_gradients(
     g_inverse = np.zeros_like(inverse)
     g_edge_values = np.zeros_like(sim.flat_values)
     src, dst = graph.edge_src, graph.indices
+    transposed = sim.as_weighted_graph().operator.T
     for step in range(len(messages) - 1, -1, -1):
         agg = messages[step]
         previous = trajectory[step]
@@ -487,8 +488,7 @@ def crf_gradients(
         g_observed += g_pre
         g_agg = g_pre @ coupling
         g_coupling += g_pre.T @ agg
-        g_hidden = np.zeros_like(previous)
-        np.add.at(g_hidden, dst, sim.flat_values[:, None] * g_agg[src])
+        g_hidden = transposed @ g_agg
         g_edge_values += np.einsum("ed,ed->e", g_agg[src], previous[dst])
     g_observed += g_hidden  # the initial latent state is the unary output
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import EdgeRows, NeighborGraph, segment_reduce
+from .cloud import EdgeRows, NeighborGraph
 from .transform import AffineLayer, read_layer_stack, write_layer_stack
 
 __all__ = [
@@ -220,7 +220,7 @@ def discrete_crf_step(
     if compat.num_labels != field.num_labels:
         raise ValueError("compatibility size does not match the label count")
     w = graph.edge_array(weights, "weights")
-    messages = segment_reduce(w[:, None] * field.posterior[graph.indices], graph.indptr)
+    messages = graph.to_csr(w) @ field.posterior
     logits = _clamped_log_unary(field.unary) - messages @ compat.matrix.T
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     posterior = shifted / shifted.sum(axis=1, keepdims=True)

@@ -43,14 +43,6 @@ class ConvergenceError(RuntimeError):
         self.steps = steps
 
 
-def _weighted_sums(graph: NeighborGraph, signal: np.ndarray):
-    """Per-node (sum_j w_ij h_j, sum_j w_ij) over the directed edges."""
-    if graph.weights is None:
-        raise ValueError("diffusion requires edge weights")
-    w, indptr = graph.weights, graph.indptr
-    return segment_reduce(w[:, None] * signal[graph.indices], indptr), segment_reduce(w, indptr)
-
-
 def diffusion_step(
     signal: np.ndarray, graph: NeighborGraph, coefficient: float = DEFAULT_COEFFICIENT
 ) -> np.ndarray:
@@ -66,8 +58,10 @@ def diffusion_step(
         raise ValueError(
             f"signal has {signal.shape[0]} rows for a {graph.num_nodes}-node graph"
         )
-    agg, deg = _weighted_sums(graph, signal)
-    return signal - coefficient * (deg[:, None] * signal - agg)
+    if graph.weights is None:
+        raise ValueError("diffusion requires edge weights")
+    deg = segment_reduce(graph.weights, graph.indptr)
+    return signal - coefficient * (deg[:, None] * signal - graph.operator @ signal)
 
 
 def diffuse_to_steady(

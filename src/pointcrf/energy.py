@@ -2,8 +2,8 @@
 
 The energy couples a per-node fidelity term with a per-edge smoothness term
 whose d x d coupling is a shared positive-definite matrix scaled by per-edge
-similarities. The exact minimizer doubles as the oracle for the iterative
-message-passing solvers.
+similarities. The exact minimizer, found by conjugate gradients run to
+round-off, doubles as the oracle for the iterative message-passing solvers.
 """
 
 import warnings
@@ -25,11 +25,6 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-4
-
-# Up to this many unknowns a sparse direct factorization solves to round-off;
-# larger systems use conjugate gradients, as the factor's fill-in grows fast.
-# Both paths must meet the same residual bound.
-DIRECT_SOLVE_LIMIT = 4096
 
 RESIDUAL_BOUND = 1e-8
 
@@ -111,7 +106,7 @@ class QuadraticEnergyModel:
 
     def symmetrized_similarity(self) -> sp.csr_matrix:
         """N x N matrix with entry (i, j) = s_ij + s_ji over the directed edges."""
-        s = self.graph.to_csr()
+        s = self.graph.operator
         return (s + s.T).tocsr()
 
 
@@ -150,23 +145,21 @@ def _system_operator(model: QuadraticEnergyModel):
 
 
 def solve_exact(model: QuadraticEnergyModel) -> np.ndarray:
-    """Exact minimizer of the energy, via a direct or conjugate-gradient solve.
+    """Exact minimizer of the energy, by conjugate gradients run to round-off.
 
-    Raises SolveError if the residual exceeds 1e-8 * (1 + max|observed|);
-    the system is positive definite by construction, so this only trips on
-    solver breakdown.
+    CG stops once its residual falls to 1e-14 of the right-hand side's norm.
+    Raises SolveError if it does not get there, or if the true residual
+    exceeds 1e-8 * (1 + max|observed|); the system is positive definite by
+    construction, so this only trips on solver breakdown.
     """
     if model.observed.size == 0:
         return model.observed.copy()
     system = _system_operator(model)
     rhs = model.observed.ravel()
     bound = RESIDUAL_BOUND * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
-    if rhs.size <= DIRECT_SOLVE_LIMIT:
-        solution = spla.spsolve(system.tocsc(), rhs)
-    else:
-        solution, info = spla.cg(system, rhs, rtol=1e-14, atol=0.1 * bound, maxiter=50 * rhs.size)
-        if info != 0:
-            raise SolveError(f"conjugate gradient did not converge (info={info})")
+    solution, info = spla.cg(system, rhs, rtol=1e-14, atol=0.0, maxiter=50 * rhs.size)
+    if info != 0:
+        raise SolveError(f"conjugate gradient did not converge (info={info})")
     residual = float(np.max(np.abs(system @ solution - rhs), initial=0.0))
     if residual > bound:
         raise SolveError(f"solver residual {residual:.3e} exceeds bound {bound:.3e}")
@@ -190,7 +183,7 @@ def dirichlet_energy(graph: NeighborGraph, signal: np.ndarray) -> float:
     if graph.weights is None:
         raise ValueError("dirichlet_energy requires edge weights")
     deg = segment_reduce(graph.weights, graph.indptr)
-    mixed = segment_reduce(graph.weights[:, None] * signal[graph.indices], graph.indptr)
+    mixed = graph.operator @ signal
     # all-zero weights behave like an isolated node
     active = deg > 0.0
     lh = signal.copy()

@@ -195,14 +195,14 @@ def read_layer_stack(path) -> list:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or lines[0] != FILE_MAGIC:
         raise ValueError(f"{path}: not a '{FILE_MAGIC}' file")
-    tokens = lines[1].split()
+    tokens = lines[1].split() if len(lines) > 1 else []
     if len(tokens) != 2 or tokens[0] != "layers":
         raise ValueError(f"{path}: missing layer count")
     count = int(tokens[1])
     layers = []
     pos = 2
     for idx in range(count):
-        if pos + 2 >= len(lines) + 1:
+        if pos + 3 > len(lines):
             raise ValueError(f"{path}: truncated at layer {idx}")
         head = lines[pos].split()
         if len(head) < 5 or head[0] != "layer" or int(head[1]) != idx:

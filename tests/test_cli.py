@@ -250,6 +250,39 @@ class TestCheckOracle:
         assert float(report[1].split(",")[1]) <= 1e-8
 
 
+class TestInputFiles:
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [
+            ("smooth", "crf", "unary_file"),
+            ("smooth", "crf", "projection_file"),
+            ("refine-labels", "discrete", "kernel_file"),
+        ],
+    )
+    def test_truncated_layer_file_is_a_config_error(self, runner, tmp_path, command, section, key):
+        make_cloud(tmp_path, n=4)
+        write_probabilities(tmp_path / "probs.csv", np.full((4, 2), 0.5))
+        truncated = tmp_path / "layers.txt"
+        truncated.write_text(
+            "pointwise-transform 1\nlayers 1\nlayer 0 2 2 identity\nweights 1.0 0.0 0.0 1.0\n"
+        )
+        overrides = {"discrete": {"probabilities": str(tmp_path / "probs.csv")}}
+        overrides.setdefault(section, {})[key] = str(truncated)
+        config = write_config(tmp_path / "config.json", **overrides)
+        result = runner.invoke(main, [command, "--config", str(config)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"{truncated}: truncated at layer 0" in result.output
+
+    def test_missing_compat_factor_file_is_a_config_error(self, runner, tmp_path):
+        make_cloud(tmp_path)
+        config = write_config(tmp_path / "config.json", crf={"compat": "identiy"})
+        result = runner.invoke(main, ["smooth", "--config", str(config)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "compat factor file not found: identiy" in result.output
+
+
 class TestConfigValues:
     @pytest.mark.parametrize(
         "overrides, command, key",

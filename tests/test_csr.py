@@ -12,13 +12,19 @@ from pointcrf import (
     NeighborGraph,
     PointwiseTransform,
     SimilarityField,
+    coordinate_descent_step,
+    diffusion_step,
     dirichlet_energy,
     discrete_crf_step,
+    mean_field_mean_step,
     pairwise_similarity,
 )
 from pointcrf.cloud import segment_reduce
 from util import (
+    random_pd_compat,
     reference_aggregate,
+    reference_anchored_step,
+    reference_diffusion_step,
     reference_dirichlet,
     reference_discrete_step,
     reference_max_asymmetry,
@@ -117,6 +123,38 @@ def test_discrete_step_matches_per_node_loop(case):
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
 
+def assert_close_to_scale(got, want):
+    # signed terms can cancel in an entry, so atol is relative to the largest one
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * np.abs(want).max(initial=0.0))
+
+
+@pytest.mark.parametrize("step", [coordinate_descent_step, mean_field_mean_step])
+@settings(max_examples=80, deadline=None)
+@given(cases())
+def test_anchored_steps_match_per_node_loop(step, case):
+    graph, rng = case
+    observed, latent = rng.normal(size=(2, graph.num_nodes, 3))
+    compat = random_pd_compat(rng, 3)
+    weights = edge_weights(graph, rng)
+    rows = np.split(weights, graph.indptr[1:-1])
+    assert_close_to_scale(
+        step(observed, latent, graph, weights, compat),
+        reference_anchored_step(observed, latent, graph, rows, compat.matrix),
+    )
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["N", "N-by-3"])
+@settings(max_examples=80, deadline=None)
+@given(cases())
+def test_diffusion_step_matches_per_node_loop(shape, case):
+    graph, rng = case
+    weighted = graph.with_weights(edge_weights(graph, rng))
+    signal = rng.normal(size=(graph.num_nodes, *shape))
+    assert_close_to_scale(
+        diffusion_step(signal, weighted, 0.5), reference_diffusion_step(weighted, signal, 0.5)
+    )
+
+
 @settings(max_examples=80, deadline=None)
 @given(cases())
 def test_dirichlet_energy_matches_per_node_loop(case):
@@ -181,6 +219,20 @@ class TestGraphStorage:
             assert weighted.indptr is graph.indptr
         np.testing.assert_array_equal(sim.half_weighted_graph().weights, [0.5, 0.5])
         assert graph.weights is None
+
+    def test_operators_follow_their_own_weights(self):
+        graph = NeighborGraph(num_nodes=3, neighbors=[[1, 2], [0], [0]],
+                              edge_weights=[[1.0, 2.0], [3.0], [4.0]])
+        x = np.array([1.0, 10.0, 100.0])
+        # cache the operator before anything derives from the graph
+        np.testing.assert_array_equal(graph.operator @ x, [210.0, 3.0, 4.0])
+        reweighted = graph.with_weights(np.array([0.5, 0.5, 1.0, 1.0]))
+        np.testing.assert_array_equal(reweighted.operator @ x, [55.0, 1.0, 1.0])
+        first = SimilarityField(graph, [[0.25, 0.75], [1.0], [1.0]])
+        second = SimilarityField(graph, [[0.5, 0.5], [1.0], [1.0]])
+        np.testing.assert_array_equal(first.aggregate(x), [77.5, 1.0, 1.0])
+        np.testing.assert_array_equal(second.aggregate(x), [55.0, 1.0, 1.0])
+        np.testing.assert_array_equal(graph.operator @ x, [210.0, 3.0, 4.0])
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,12 @@ from pointcrf import (
     knn_graph,
     solve_exact,
 )
-from util import random_pd_compat, random_symmetric_graph, symmetric_stochastic_field
+from util import (
+    random_pd_compat,
+    random_symmetric_graph,
+    reference_solve,
+    symmetric_stochastic_field,
+)
 
 
 def two_node_model(similarity, observed=((0.0,), (2.0,)), mutual=True):
@@ -158,24 +163,21 @@ class TestSolveExact:
             resid = np.max(np.abs(system @ best.ravel() - model.observed.ravel()))
             assert resid <= 1e-8 * (1.0 + np.max(np.abs(model.observed)))
 
-    def test_iterative_path_matches_dense(self, monkeypatch):
+    def test_iterative_path_matches_dense(self):
         rng = np.random.default_rng(10)
-        model = random_model(rng, 20, 3)
-        dense = solve_exact(model)
-        monkeypatch.setattr(energy_mod, "DIRECT_SOLVE_LIMIT", 0)
-        iterative = solve_exact(model)
-        np.testing.assert_allclose(iterative, dense, atol=1e-8)
+        models = [random_model(rng, int(rng.integers(2, 40)), int(rng.integers(1, 5)))
+                  for _ in range(10)]
+        ill = random_model(np.random.default_rng(17), 20, 3, scale=10.0)  # cond 7.9e3
+        assert np.linalg.cond(energy_mod._system_operator(ill).toarray()) > 5e3
+        for model in models + [ill]:
+            np.testing.assert_allclose(
+                solve_exact(model), reference_solve(model), rtol=1e-12, atol=1e-12
+            )
 
-    def test_direct_path_memory_grows_with_edges(self):
-        """Largest direct solve (4096 unknowns) stays sparse.
-
-        tracemalloc sees the Python-side allocations only, not SuperLU's own
-        factor storage, so this guards against re-densifying the system
-        (a dense copy alone is 134 MB), not the factorization's fill-in.
-        """
+    def test_solve_memory_grows_with_edges(self):
+        """A 4096-unknown solve stays sparse (a dense copy alone is 134 MB)."""
         rng = np.random.default_rng(1024)
         n, d = 1024, 4
-        assert n * d == energy_mod.DIRECT_SOLVE_LIMIT
         cloud = PointCloud(positions=rng.uniform(size=(n, 3)), features=np.zeros((n, 1)))
         model = QuadraticEnergyModel(
             graph=knn_graph(cloud, 8).with_weights(rng.uniform(size=n * 8)),

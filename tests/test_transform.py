@@ -79,3 +79,23 @@ def test_load_rejects_truncated_weights(tmp_path):
     )
     with pytest.raises(ValueError, match="weights"):
         PointwiseTransform.load(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("pointwise-transform 1\n", "missing layer count"),
+        # ends right after a layer's weights line
+        ("pointwise-transform 1\nlayers 1\nlayer 0 1 1 identity\nweights 1.0\n",
+         "truncated at layer 0"),
+        ("pointwise-transform 1\nlayers 2\nlayer 0 1 1 identity\nweights 1.0\nbias 0.0\n"
+         "layer 1 1 1 identity\nweights 1.0\n", "truncated at layer 1"),
+    ],
+    ids=["magic-only", "after-weights", "second-layer"],
+)
+def test_load_rejects_truncated_file_naming_the_path(tmp_path, text, message):
+    path = tmp_path / "weights.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        PointwiseTransform.load(path)
+    assert str(path) in str(info.value)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pointcrf import (
     CompatibilityMatrix,
@@ -12,6 +13,7 @@ from pointcrf import (
     SimilarityField,
 )
 from pointcrf.cloud import COINCIDENT_DISTANCE
+from pointcrf.energy import _system_operator
 
 
 def random_cloud(rng, n, d=3, spread=1.0):
@@ -134,6 +136,27 @@ def reference_discrete_step(unary, posterior, graph, weights, compat_matrix, flo
     return out
 
 
+def reference_anchored_step(observed, latent, graph, weights, coupling):
+    """Per node: solve (I + sum_j s_ij C) x = z_i + C sum_j s_ij x_j against the
+    given latent state; nodes without neighbors keep their anchor z_i."""
+    out = observed.copy()
+    eye = np.eye(coupling.shape[0])
+    for i, (nbrs, s) in enumerate(zip(graph.neighbors, weights)):
+        if nbrs.size:
+            out[i] = np.linalg.solve(
+                eye + s.sum() * coupling, observed[i] + coupling @ (s @ latent[nbrs])
+            )
+    return out
+
+
+def reference_diffusion_step(graph, signal, coefficient):
+    """Per node: h_i - c * sum_j w_ij (h_i - h_j), for (N,) or (N, d) signals."""
+    out = signal.copy()
+    for i, (nbrs, w) in enumerate(zip(graph.neighbors, graph.edge_weights)):
+        out[i] = signal[i] - coefficient * (w @ (signal[i] - signal[nbrs]))
+    return out
+
+
 def reference_dirichlet(graph, signal):
     """h^T (I - D^-1 W) h with zero-degree rows treated as isolated."""
     lh = signal.copy()
@@ -245,3 +268,14 @@ def reference_balance(sim, max_iterations=5000, tol=1e-13):
     support = sp.csr_matrix(dense)
     graph = NeighborGraph.from_csr(n, support.indptr, support.indices)
     return SimilarityField(graph, support.data)
+
+
+# ---------------------------------------------------------------------------
+# Sparse direct solve: the factorization solve_exact used for small systems
+# before it kept only conjugate gradients, kept as its oracle.
+# ---------------------------------------------------------------------------
+
+def reference_solve(model):
+    """Exact minimizer by a sparse LU factorization of the assembled system."""
+    rhs = model.observed.ravel()
+    return spla.spsolve(_system_operator(model).tocsc(), rhs).reshape(model.observed.shape)
