@@ -118,7 +118,6 @@ class RunConfig:
     discrete: DiscreteSection = field(default_factory=DiscreteSection)
     diffusion: DiffusionSection = field(default_factory=DiffusionSection)
     seed: int = 0
-    threads: int = 1
 
 
 _KIND_NAMES = {bool: "a JSON boolean", int: "an integer", float: "a number", str: "a string"}
@@ -169,7 +168,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
-    _take(raw, {"input", "output", "graph", "crf", "discrete", "diffusion", "seed", "threads"}, str(path))
+    _take(raw, {"input", "output", "graph", "crf", "discrete", "diffusion", "seed"}, str(path))
     inp = _object(raw, "input", {"path", "format"})
     out = _object(raw, "output", {"dir"})
     cfg = RunConfig(
@@ -181,7 +180,6 @@ def load_config(path) -> RunConfig:
         discrete=_section(raw, "discrete", DiscreteSection, positive={"steps", "labels"}),
         diffusion=_section(raw, "diffusion", DiffusionSection, positive={"steps"}),
         seed=_get(raw, "seed", 0, int, ""),
-        threads=_get(raw, "threads", 1, int, "", positive=True),
     )
     if cfg.graph.method not in ("knn", "dilated-knn", "radius"):
         raise ConfigError("graph.method must be knn, dilated-knn, or radius")
@@ -510,10 +508,10 @@ def cmd_check_oracle(config_path, input_path, input_format, output_dir):
     # Iterate the general per-node minimizer on the symmetrized edge weights;
     # it shares its fixed point with the exact solve for any input field.
     s_sym = model.symmetrized_similarity()
-    sym = NeighborGraph.from_csr(s_sym.shape[0], s_sym.indptr, s_sym.indices, s_sym.data)
+    sym = NeighborGraph(s_sym.shape[0], s_sym.indptr, s_sym.indices, s_sym.data)
     latent = observed.copy()
     for sweeps in range(1, ORACLE_MAX_SWEEPS + 1):
-        updated = coordinate_descent_step(observed, latent, sym, sym.edge_weights, compat)
+        updated = coordinate_descent_step(observed, latent, sym, sym.weights, compat)
         change = float(np.max(np.abs(updated - latent), initial=0.0))
         latent = updated
         if change < ORACLE_TOL:

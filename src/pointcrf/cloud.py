@@ -9,7 +9,6 @@ to the lower index, so graphs equal a brute-force search without its N^2 table.
 import copy
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -21,7 +20,6 @@ __all__ = [
     "CloudParseError",
     "PointCloud",
     "NeighborGraph",
-    "EdgeRows",
     "segment_reduce",
     "SampleIndex",
     "read_cloud",
@@ -112,59 +110,18 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return view
 
 
-class EdgeRows(Sequence):
-    """Read-only per-node views of a flat per-edge array, split on first use."""
-
-    def __init__(self, flat: np.ndarray, indptr: np.ndarray):
-        self.flat = _frozen(flat)
-        self.indptr = indptr
-
-    @cached_property
-    def _rows(self) -> list:
-        return np.split(self.flat, self.indptr[1:-1])[: len(self)]
-
-    def __len__(self) -> int:
-        return self.indptr.size - 1
-
-    def __getitem__(self, node):
-        return self._rows[node]
-
-
 class NeighborGraph:
     """Directed adjacency in compressed sparse row (CSR) form.
 
     Node i's neighbors are ``indices[indptr[i]:indptr[i + 1]]`` in stored
     order; a row never holds the node itself or a duplicate. ``weights``,
     when present, holds one finite nonnegative scalar per edge, aligned with
-    ``indices``. The constructor takes per-node lists; ``from_csr`` takes the
-    flat arrays. ``neighbors`` and ``edge_weights`` are per-node views, and
+    ``indices``. All three are flat read-only arrays, validated once here.
     ``operator`` is the weights as a cached N x N CSR matrix, so every
     weighted neighbor sum is one product ``graph.operator @ x``.
     """
 
-    def __init__(self, num_nodes: int, neighbors, edge_weights=None):
-        if num_nodes >= 0 and len(neighbors) != num_nodes:
-            raise ValueError(f"expected {num_nodes} neighbor lists, got {len(neighbors)}")
-        rows = [np.asarray(nbrs, dtype=np.int64).reshape(-1) for nbrs in neighbors]
-        indptr = np.concatenate([[0], np.cumsum([r.size for r in rows], dtype=np.int64)])
-        self._set_structure(num_nodes, indptr, np.concatenate(rows) if rows else [])
-        self._set_weights(edge_weights)
-
-    @classmethod
-    def from_csr(cls, num_nodes: int, indptr, indices, weights=None) -> "NeighborGraph":
-        """Graph from flat CSR arrays (validated like the constructor's lists)."""
-        graph = cls.__new__(cls)
-        graph._set_structure(num_nodes, indptr, indices)
-        graph._set_weights(weights)
-        return graph
-
-    def with_weights(self, weights) -> "NeighborGraph":
-        """The same neighbor structure (shared, not revalidated) with new weights."""
-        graph = copy.copy(self)
-        graph._set_weights(weights)
-        return graph
-
-    def _set_structure(self, num_nodes: int, indptr, indices) -> None:
+    def __init__(self, num_nodes: int, indptr, indices, weights=None):
         if num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
         self.num_nodes = n = int(num_nodes)
@@ -188,14 +145,20 @@ class NeighborGraph:
         repeated = np.flatnonzero(keys[1:] == keys[:-1])
         if repeated.size:
             raise ValueError(f"node {keys[repeated[0]] // n} lists a duplicate neighbor")
+        self._set_weights(weights)
+
+    def with_weights(self, weights) -> "NeighborGraph":
+        """The same neighbor structure (shared, not revalidated) with new weights."""
+        graph = copy.copy(self)
+        graph._set_weights(weights)
+        return graph
 
     def _set_weights(self, weights) -> None:
-        self.__dict__.pop("edge_weights", None)
         self.__dict__.pop("operator", None)
         self.weights = None
         if weights is None:
             return
-        flat = _frozen(self.edge_array(weights, "edge_weights"))
+        flat = _frozen(self.edge_array(weights, "edge weights"))
         bad = ~np.isfinite(flat) | (flat < 0)
         if bad.any():
             raise ValueError(
@@ -213,14 +176,6 @@ class NeighborGraph:
         return np.diff(self.indptr)
 
     @cached_property
-    def neighbors(self) -> EdgeRows:
-        return EdgeRows(self.indices, self.indptr)
-
-    @cached_property
-    def edge_weights(self) -> EdgeRows | None:
-        return None if self.weights is None else EdgeRows(self.weights, self.indptr)
-
-    @cached_property
     def operator(self) -> sp.csr_matrix:
         """``to_csr()`` of the weights, built once and shared by every product."""
         return self.to_csr()
@@ -229,25 +184,17 @@ class NeighborGraph:
     def num_edges(self) -> int:
         return int(self.indices.size)
 
-    def degree(self, node: int) -> int:
-        return int(self.degrees[node])
-
     def edge_array(self, values, name: str) -> np.ndarray:
-        """One float64 per edge, from a flat array or per-node rows aligned with neighbors."""
-        if isinstance(values, EdgeRows) and np.array_equal(values.indptr, self.indptr):
-            values = values.flat
-        if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype != object:
-            if values.size != self.num_edges:
-                raise ValueError(f"expected {self.num_edges} {name} values, got {values.size}")
-            return values.astype(np.float64, copy=False)
-        if len(values) != self.num_nodes:
-            raise ValueError(f"expected {self.num_nodes} {name} rows, got {len(values)}")
-        rows = [np.asarray(v, dtype=np.float64).reshape(-1) for v in values]
-        sizes = np.array([r.size for r in rows], dtype=np.int64)
-        bad = np.flatnonzero(sizes != self.degrees)
-        if bad.size:
-            raise ValueError(f"node {bad[0]}: {name} row shape differs from neighbors")
-        return np.concatenate(rows) if rows else np.empty(0, dtype=np.float64)
+        """``values`` as one float64 per edge, aligned with ``indices``."""
+        try:
+            flat = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError):
+            flat = None
+        if flat is None or flat.shape != (self.num_edges,):
+            raise ValueError(
+                f"{name} must be a flat array of {self.num_edges} values, one per edge"
+            )
+        return flat
 
     def to_csr(self, values=None) -> sp.csr_matrix:
         """N x N matrix of ``values`` (default: the weights, else ones), columns sorted."""
@@ -478,7 +425,7 @@ def _indptr(rows, m) -> np.ndarray:
 
 
 def _pair_graph(n, rows, cols, d2, keep) -> NeighborGraph:
-    return NeighborGraph.from_csr(n, _indptr(rows[keep], n), cols[keep], np.sqrt(d2[keep]))
+    return NeighborGraph(n, _indptr(rows[keep], n), cols[keep], np.sqrt(d2[keep]))
 
 
 def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:

@@ -12,14 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .cloud import (
-    EdgeRows,
-    NeighborGraph,
-    PointCloud,
-    knn_graph,
-    knn_interpolate,
-    segment_reduce,
-)
+from .cloud import NeighborGraph, PointCloud, knn_graph, knn_interpolate, segment_reduce
 from .energy import CompatibilityMatrix, QuadraticEnergyModel, evaluate_energy
 from .transform import Activation, PointwiseTransform
 
@@ -54,29 +47,20 @@ class UnsupportedScheduleError(ValueError):
 class SimilarityField:
     """Per-edge normalized similarities: each node's outgoing values sum to 1.
 
-    A neighbor graph plus one flat value per edge (``flat_values``, aligned
-    with ``graph.indices``); ``values`` gives per-node read-only views.
+    ``graph`` is the neighbor graph weighted with one flat similarity per
+    edge; ``flat_values`` is those weights, aligned with ``graph.indices``.
     Nodes without neighbors carry an empty row. Message aggregation is one
-    product with the cached CSR operator of the weighted graph, which sums
-    each row sequentially in column order, so results do not depend on
-    thread count.
+    product with the graph's cached CSR operator, which sums each row
+    sequentially in column order, so results do not depend on thread count.
     """
 
     def __init__(self, graph: NeighborGraph, values):
-        self.graph = graph
-        flat = graph.edge_array(values, "similarity")
-        bad = ~np.isfinite(flat) | (flat < 0)
-        if bad.any():
-            raise ValueError(
-                f"node {graph.edge_src[np.argmax(bad)]}: similarities must be finite and >= 0"
-            )
-        sums = segment_reduce(flat, graph.indptr)
+        self.graph = graph.with_weights(graph.edge_array(values, "similarities"))
+        self.flat_values = self.graph.weights
+        sums = segment_reduce(self.flat_values, graph.indptr)
         off = np.flatnonzero((graph.degrees > 0) & (np.abs(sums - 1.0) > ROW_SUM_TOL))
         if off.size:
             raise ValueError(f"node {off[0]}: similarities sum to {sums[off[0]]!r}, expected 1")
-        self.values = EdgeRows(flat, graph.indptr)
-        self.flat_values = self.values.flat
-        self._weighted = graph.with_weights(self.flat_values)
 
     @property
     def num_nodes(self) -> int:
@@ -84,11 +68,7 @@ class SimilarityField:
 
     def aggregate(self, node_values: np.ndarray) -> np.ndarray:
         """Per-node sum of similarity * node_values[neighbor] over outgoing edges."""
-        return self._weighted.operator @ node_values
-
-    def as_weighted_graph(self) -> NeighborGraph:
-        """The graph with the normalized similarities as edge weights."""
-        return self._weighted
+        return self.graph.operator @ node_values
 
     def half_weighted_graph(self) -> NeighborGraph:
         """Graph weighted with half the normalized similarities.
@@ -103,7 +83,7 @@ class SimilarityField:
         """max |s_ij - s_ji| over all edges (missing reverse edges count as 0)."""
         if not self.graph.num_edges:
             return 0.0
-        s = self._weighted.operator
+        s = self.graph.operator
         return float(abs(s - s.T).max())
 
 
@@ -222,7 +202,7 @@ def balance_similarity(
     admit no doubly stochastic scaling) warns and ends on a row normalization.
     """
     n = sim.num_nodes
-    s = sim.as_weighted_graph().operator
+    s = sim.graph.operator
     a = 0.5 * (s + s.T)
     at = a.T
     r, c = np.ones(n), np.ones(n)
@@ -254,8 +234,7 @@ def balance_similarity(
     p = sp.csr_matrix(p if residual >= 1e-9 else 0.5 * (p + p.T))
     p.eliminate_zeros()
     p.sort_indices()
-    graph = NeighborGraph.from_csr(n, p.indptr, p.indices)
-    return SimilarityField(graph, p.data)
+    return SimilarityField(NeighborGraph(n, p.indptr, p.indices), p.data)
 
 
 def similarity_energy_model(
@@ -478,7 +457,7 @@ def crf_gradients(
     g_inverse = np.zeros_like(inverse)
     g_edge_values = np.zeros_like(sim.flat_values)
     src, dst = graph.edge_src, graph.indices
-    transposed = sim.as_weighted_graph().operator.T
+    transposed = sim.graph.operator.T
     for step in range(len(messages) - 1, -1, -1):
         agg = messages[step]
         previous = trajectory[step]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import EdgeRows, NeighborGraph
+from .cloud import NeighborGraph
 from .transform import AffineLayer, read_layer_stack, write_layer_stack
 
 __all__ = [
@@ -178,8 +178,8 @@ class LabelCompatibility:
 
 def kernel_weights(
     features: np.ndarray, graph: NeighborGraph, mix: KernelMixture
-) -> EdgeRows:
-    """Per-edge kernel values: read-only per-node views aligned with the neighbors."""
+) -> np.ndarray:
+    """Kernel value of every edge, one float per edge aligned with ``graph.indices``."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != graph.num_nodes:
         raise ValueError(
@@ -199,7 +199,7 @@ def kernel_weights(
         warnings.warn(
             "negative mixture weights produced negative edge weights", stacklevel=2
         )
-    return EdgeRows(flat, graph.indptr)
+    return flat
 
 
 def _clamped_log_unary(unary: np.ndarray) -> np.ndarray:

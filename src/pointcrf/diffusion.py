@@ -144,23 +144,22 @@ def compare_crf_vs_diffusion(
         convergence_tol=0.0,
         readout=Activation(),
     )
-    weighted = sim.as_weighted_graph()
     state = ContinuousCrfState.from_observed(observed)
     heat = observed.copy()
     rows = []
     step_one = 0.0
     for step in range(1, steps + 1):
         state = crf_step(state, sim, cfg)
-        heat = diffusion_step(heat, weighted, 0.5)
+        heat = diffusion_step(heat, sim.graph, 0.5)
         if step == 1:
             step_one = float(np.max(np.abs(state.latent - heat), initial=0.0))
         rows.append(
             ComparisonRow(
                 step=step,
                 crf_fidelity=float(np.linalg.norm(state.latent - observed)),
-                crf_dirichlet=multichannel_dirichlet(weighted, state.latent),
+                crf_dirichlet=multichannel_dirichlet(sim.graph, state.latent),
                 diffusion_fidelity=float(np.linalg.norm(heat - observed)),
-                diffusion_dirichlet=multichannel_dirichlet(weighted, heat),
+                diffusion_dirichlet=multichannel_dirichlet(sim.graph, heat),
             )
         )
     return DiffusionComparison(rows=rows, step_one_max_difference=step_one)

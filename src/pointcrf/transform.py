@@ -190,6 +190,13 @@ def write_layer_stack(path, layers) -> None:
         fh.write("".join(line + "\n" for line in lines))
 
 
+def _parse(kind, token: str, path, where: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValueError(f"{path}: {where}: {token!r} is not a valid {kind.__name__}") from None
+
+
 def read_layer_stack(path) -> list:
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -198,23 +205,27 @@ def read_layer_stack(path) -> list:
     tokens = lines[1].split() if len(lines) > 1 else []
     if len(tokens) != 2 or tokens[0] != "layers":
         raise ValueError(f"{path}: missing layer count")
-    count = int(tokens[1])
+    count = _parse(int, tokens[1], path, "layer count")
+    if count < 0:
+        raise ValueError(f"{path}: layer count must be >= 0, got {count}")
     layers = []
     pos = 2
     for idx in range(count):
         if pos + 3 > len(lines):
             raise ValueError(f"{path}: truncated at layer {idx}")
         head = lines[pos].split()
-        if len(head) < 5 or head[0] != "layer" or int(head[1]) != idx:
+        where = f"layer {idx}"
+        if len(head) < 5 or head[0] != "layer" or _parse(int, head[1], path, where) != idx:
             raise ValueError(f"{path}: malformed header for layer {idx}")
-        in_dim, out_dim, kind = int(head[2]), int(head[3]), head[4]
-        slope = float(head[5]) if len(head) > 5 else 0.0
+        in_dim, out_dim = (_parse(int, t, path, where) for t in head[2:4])
+        kind = head[4]
+        slope = _parse(float, head[5], path, where) if len(head) > 5 else 0.0
         w_tok = lines[pos + 1].split()
         b_tok = lines[pos + 2].split()
         if w_tok[0] != "weights" or b_tok[0] != "bias":
             raise ValueError(f"{path}: layer {idx} missing weights/bias lines")
-        weight = np.array([float(v) for v in w_tok[1:]], dtype=np.float64)
-        bias = np.array([float(v) for v in b_tok[1:]], dtype=np.float64)
+        weight = np.array([_parse(float, v, path, where) for v in w_tok[1:]])
+        bias = np.array([_parse(float, v, path, where) for v in b_tok[1:]])
         if weight.size != in_dim * out_dim:
             raise ValueError(
                 f"{path}: layer {idx} expects {in_dim * out_dim} weights, got {weight.size}"

@@ -49,6 +49,7 @@ from pointcrf.cloud import sample_count
 from pointcrf.transform import PointwiseTransform
 from test_crf_gradients import build_instance, central_difference, scalar_objective
 from util import (
+    node_rows,
     planted_cluster_cloud,
     random_cloud,
     random_pd_compat,
@@ -104,10 +105,10 @@ def test_criterion_2_update_equivalence():
         d = int(rng.integers(1, 9))
         if case % 2 == 0:
             graph = random_symmetric_graph(rng, n)
-            sims = [rng.uniform(0.1, 2.0, size=nbrs.size) for nbrs in graph.neighbors]
+            sims = rng.uniform(0.1, 2.0, size=graph.num_edges)
         else:
             field = symmetric_stochastic_field(rng, n)
-            graph, sims = field.graph, field.values
+            graph, sims = field.graph, field.flat_values
         compat = random_pd_compat(rng, d)
         observed = rng.normal(size=(n, d))
         a = observed.copy()
@@ -158,14 +159,12 @@ def test_criterion_4_covariance_formula():
         np.testing.assert_allclose(cov, np.swapaxes(cov, 1, 2), atol=1e-12)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
 
-    isolated = SimilarityField(NeighborGraph(num_nodes=1, neighbors=[[]]), [[]])
+    isolated = SimilarityField(NeighborGraph(1, [0, 0], []), [])
     np.testing.assert_array_equal(
         mean_field_covariance(isolated, CompatibilityMatrix.identity(3))[0],
         0.5 * np.eye(3),
     )
-    pair = SimilarityField(
-        NeighborGraph(num_nodes=2, neighbors=[[1], [0]]), [[1.0], [1.0]]
-    )
+    pair = SimilarityField(NeighborGraph(2, [0, 1, 2], [1, 0]), [1.0, 1.0])
     np.testing.assert_array_equal(
         mean_field_covariance(pair, CompatibilityMatrix.identity(2))[0],
         0.25 * np.eye(2),
@@ -230,13 +229,12 @@ def test_criterion_6_diffusion_correspondence():
             compat=CompatibilityMatrix.identity(d), steps=1, readout=IDENTITY
         )
         crf_one = crf_step(ContinuousCrfState.from_observed(observed), sim, cfg).latent
-        diff_one = diffusion_step(observed, sim.as_weighted_graph(), 0.5)
+        diff_one = diffusion_step(observed, sim.graph, 0.5)
         gap = float(np.max(np.abs(crf_one - diff_one)))
         worst = max(worst, gap)
         assert gap <= 1e-12
 
-    graph = NeighborGraph(num_nodes=2, neighbors=[[1], [0]])
-    sim = SimilarityField(graph, [[1.0], [1.0]])
+    sim = SimilarityField(NeighborGraph(2, [0, 1, 2], [1, 0]), [1.0, 1.0])
     observed = np.array([[0.0], [2.0]])
     cfg = CrfConfig(
         compat=CompatibilityMatrix.identity(1), steps=5000,
@@ -245,9 +243,8 @@ def test_criterion_6_diffusion_correspondence():
     crf_fixed = run_crf(ContinuousCrfState.from_observed(observed), sim, cfg).latent
     np.testing.assert_allclose(crf_fixed.ravel(), [2.0 / 3.0, 4.0 / 3.0], atol=1e-8)
     heat = observed.copy()
-    weighted = sim.as_weighted_graph()
     for _ in range(200):
-        heat = diffusion_step(heat, weighted, 0.5)
+        heat = diffusion_step(heat, sim.graph, 0.5)
     np.testing.assert_allclose(heat.ravel(), [1.0, 1.0], atol=1e-8)
     report(6, f"step-1 equality on 20 instances (worst {worst:.2e}); fixed points differ as expected")
 
@@ -263,7 +260,7 @@ def test_criterion_7_discrete_invariants():
         n = int(rng.integers(2, 10))
         labels = int(rng.integers(2, 6))
         graph = random_symmetric_graph(rng, n)
-        weights = [rng.uniform(0.0, 2.0, size=nbrs.size) for nbrs in graph.neighbors]
+        weights = rng.uniform(0.0, 2.0, size=graph.num_edges)
         compat = LabelCompatibility(rng.normal(size=(labels, labels)))
         field = LabelField.from_unary(random_simplex_rows(rng, n, labels))
         for _ in range(10):
@@ -274,13 +271,13 @@ def test_criterion_7_discrete_invariants():
 
     graph = random_symmetric_graph(rng, 6)
     unary = random_simplex_rows(rng, 6, 3)
-    zero = [np.zeros(nbrs.size) for nbrs in graph.neighbors]
+    zero = np.zeros(graph.num_edges)
     out = discrete_crf_step(
         LabelField.from_unary(unary), graph, zero, LabelCompatibility.identity(3)
     )
     np.testing.assert_array_equal(out.posterior, unary)
 
-    weights = [rng.uniform(0.2, 1.0, size=nbrs.size) for nbrs in graph.neighbors]
+    weights = rng.uniform(0.2, 1.0, size=graph.num_edges)
     base = LabelCompatibility(rng.normal(size=(3, 3)))
     shifted = LabelCompatibility(base.matrix + 0.9 * np.ones((3, 3)))
     a = discrete_crf_step(LabelField.from_unary(unary), graph, weights, base)
@@ -316,22 +313,22 @@ def test_criterion_8_graph_oracles():
         }
 
         k = int(rng.integers(1, 7))
-        graph = knn_graph(cloud, k)
+        rows = node_rows(knn_graph(cloud, k))
         for i in range(n):
             expect = [j for _, j in order[i][: min(k, n - 1)]]
-            assert list(graph.neighbors[i]) == expect
+            assert list(rows[i]) == expect
 
         dil = int(rng.integers(1, 4))
-        dilated = dilated_knn_graph(cloud, k, dil)
+        rows = node_rows(dilated_knn_graph(cloud, k, dil))
         for i in range(n):
             pool = [j for _, j in order[i][: min(k * dil, n - 1)]]
-            assert list(dilated.neighbors[i]) == pool[dil - 1 :: dil][:k]
+            assert list(rows[i]) == pool[dil - 1 :: dil][:k]
 
         r = float(rng.uniform(0.5, 8.0))
-        radius = radius_graph(cloud, r)
+        rows = node_rows(radius_graph(cloud, r))
         for i in range(n):
             expect = [j for d2, j in order[i] if d2 <= r]
-            assert list(radius.neighbors[i]) == expect
+            assert list(rows[i]) == expect
 
         ratio = float(rng.uniform(0.1, 1.0))
         seed = int(rng.integers(0, n))
@@ -366,7 +363,6 @@ def test_criterion_9_step_sweep():
     )
     compat = CompatibilityMatrix.identity(3)
     observed = cloud.features
-    weighted = sim.as_weighted_graph()
 
     energies, crf_fidelities, diffusion_fidelities = [], [], []
     for steps in (1, 2, 5, 10, 20, 50):
@@ -378,7 +374,7 @@ def test_criterion_9_step_sweep():
         crf_fidelities.append(float(np.linalg.norm(state.latent - observed)))
         heat = observed.copy()
         for _ in range(steps):
-            heat = diffusion_step(heat, weighted, 0.5)
+            heat = diffusion_step(heat, sim.graph, 0.5)
         diffusion_fidelities.append(float(np.linalg.norm(heat - observed)))
 
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:])), energies
@@ -396,7 +392,7 @@ def test_criterion_9_step_sweep():
 # 10. CLI determinism
 # ---------------------------------------------------------------------------
 
-def _run_all_commands(runner, tmp_path, tag, threads):
+def _run_all_commands(runner, tmp_path, tag):
     out_dir = tmp_path / f"out-{tag}"
     config = {
         "input": {"path": str(tmp_path / "cloud.csv"), "format": "csv-xyz"},
@@ -407,7 +403,6 @@ def _run_all_commands(runner, tmp_path, tag, threads):
         "discrete": {"steps": 3, "probabilities": str(tmp_path / "probs.csv")},
         "diffusion": {"steps": 5},
         "seed": 7,
-        "threads": threads,
     }
     config_path = tmp_path / f"config-{tag}.json"
     config_path.write_text(json.dumps(config))
@@ -431,9 +426,9 @@ def test_criterion_10_cli_determinism(tmp_path):
     write_cloud(cloud, tmp_path / "cloud.csv", "csv-xyz")
     write_probabilities(tmp_path / "probs.csv", random_simplex_rows(rng, 15, 3))
     runner = CliRunner()
-    first = _run_all_commands(runner, tmp_path, "a", threads=1)
-    second = _run_all_commands(runner, tmp_path, "b", threads=4)
+    first = _run_all_commands(runner, tmp_path, "a")
+    second = _run_all_commands(runner, tmp_path, "b")
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], f"{name} differs between runs"
-    report(10, "all six commands byte-identical across runs and thread settings")
+    report(10, "all six commands byte-identical across runs")

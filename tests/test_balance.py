@@ -22,15 +22,14 @@ from pointcrf import (
     pairwise_similarity,
     radius_graph,
 )
-from util import reference_balance
+from util import graph_from_lists, reference_balance
 
 STALL = "similarity balancing stalled at residual"
 
 
 def adjacency_graph(adjacency, rng):
     np.fill_diagonal(adjacency, False)
-    neighbors = [rng.permutation(np.flatnonzero(row)) for row in adjacency]
-    return NeighborGraph(num_nodes=len(adjacency), neighbors=neighbors)
+    return graph_from_lists([rng.permutation(np.flatnonzero(row)) for row in adjacency])
 
 
 @st.composite
@@ -112,7 +111,7 @@ def test_star_at_default_budget_matches_dense_loop(leaves):
 
 def test_no_nodes():
     sim = pairwise_similarity(
-        np.zeros((0, 2)), NeighborGraph(num_nodes=0, neighbors=[]), PointwiseTransform.identity()
+        np.zeros((0, 2)), NeighborGraph(0, [0], []), PointwiseTransform.identity()
     )
     got = balance_similarity(sim)
     assert got.num_nodes == 0 and got.graph.num_edges == 0

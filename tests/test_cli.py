@@ -300,6 +300,7 @@ class TestConfigValues:
             ({"diffusion": {"coefficient": 5.0}}, "diffuse-compare", "coefficient"),
             ({"diffusion": {"tol": -1}}, "diffuse-compare", "tol"),
             ({"diffusion": {"max_steps": "x"}}, "diffuse-compare", "max_steps"),
+            ({"threads": 1}, "build-graph", "threads"),
         ],
     )
     def test_bad_value_is_a_config_error_naming_the_key(

@@ -18,7 +18,7 @@ from pointcrf import (
     read_cloud,
     write_cloud,
 )
-from util import random_cloud
+from util import node_rows, random_cloud
 
 
 def collinear_cloud(xs, features=None):
@@ -157,22 +157,20 @@ class TestCloudIO:
 class TestKnnGraph:
     def test_collinear_hand_case(self):
         graph = knn_graph(collinear_cloud([0.0, 1.0, 3.0]), k=1)
-        assert [list(n) for n in graph.neighbors] == [[1], [0], [1]]
+        assert [list(n) for n in node_rows(graph)] == [[1], [0], [1]]
 
     def test_saturated_k_gives_complete_graph(self):
         rng = np.random.default_rng(0)
         cloud = random_cloud(rng, 6)
         graph = knn_graph(cloud, k=10)
-        for i, nbrs in enumerate(graph.neighbors):
+        for i, nbrs in enumerate(node_rows(graph)):
             assert sorted(nbrs) == [j for j in range(6) if j != i]
 
     def test_coincident_points_tie_break(self):
         cloud = collinear_cloud([0.0, 0.0, 5.0])
         graph = knn_graph(cloud, k=1)
-        assert list(graph.neighbors[0]) == [1]
-        assert list(graph.neighbors[1]) == [0]
-        assert graph.edge_weights[0][0] == 0.0
-        assert list(graph.neighbors[2]) == [0]  # tie between 0 and 1 at d=5
+        assert list(graph.indices) == [1, 0, 0]  # node 2: tie between 0 and 1 at d=5
+        assert graph.weights[0] == 0.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -180,16 +178,16 @@ class TestKnnGraph:
             n = int(rng.integers(2, 40))
             k = int(rng.integers(1, 6))
             cloud = random_cloud(rng, n)
-            graph = knn_graph(cloud, k)
+            rows = node_rows(knn_graph(cloud, k))
             for i in range(n):
                 expect = brute_sorted_neighbors(cloud.positions, i)[: min(k, n - 1)]
-                assert list(graph.neighbors[i]) == expect
+                assert list(rows[i]) == expect
 
     def test_neighbors_sorted_by_distance(self):
         rng = np.random.default_rng(1)
         cloud = random_cloud(rng, 30)
         graph = knn_graph(cloud, 5)
-        for dists in graph.edge_weights:
+        for dists in node_rows(graph, graph.weights):
             assert np.all(np.diff(dists) >= 0)
 
 
@@ -199,19 +197,19 @@ class TestDilatedKnn:
         cloud = random_cloud(rng, 25)
         a = knn_graph(cloud, 4)
         b = dilated_knn_graph(cloud, 4, 1)
-        for x, y in zip(a.neighbors, b.neighbors):
-            assert list(x) == list(y)
+        np.testing.assert_array_equal(a.indptr, b.indptr)
+        np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_rank_selection_hand_case(self):
         cloud = collinear_cloud([0.0, 1.0, 2.0, 3.0, 4.0])
         graph = dilated_knn_graph(cloud, k=2, dil=2)
-        assert list(graph.neighbors[0]) == [2, 4]
+        assert list(node_rows(graph)[0]) == [2, 4]
 
     def test_truncates_when_pool_is_short(self):
         cloud = collinear_cloud([0.0, 1.0, 2.0])
         graph = dilated_knn_graph(cloud, k=2, dil=2)
         # only two candidates exist; ranks {2, 4} keep just rank 2
-        assert list(graph.neighbors[0]) == [2]
+        assert list(node_rows(graph)[0]) == [2]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
@@ -220,11 +218,11 @@ class TestDilatedKnn:
             k = int(rng.integers(1, 5))
             dil = int(rng.integers(1, 4))
             cloud = random_cloud(rng, n)
-            graph = dilated_knn_graph(cloud, k, dil)
+            rows = node_rows(dilated_knn_graph(cloud, k, dil))
             for i in range(n):
                 pool = brute_sorted_neighbors(cloud.positions, i)[: min(k * dil, n - 1)]
                 expect = pool[dil - 1 :: dil][:k]
-                assert list(graph.neighbors[i]) == expect
+                assert list(rows[i]) == expect
 
 
 class TestRadiusGraph:
@@ -232,19 +230,17 @@ class TestRadiusGraph:
         rng = np.random.default_rng(2)
         cloud = random_cloud(rng, 10, spread=10.0)
         graph = radius_graph(cloud, 1e-12)
-        assert all(n.size == 0 for n in graph.neighbors)
+        assert graph.num_edges == 0
 
     def test_hand_case_squared_threshold(self):
         graph = radius_graph(collinear_cloud([0.0, 1.0, 3.0]), r=1.0)
-        assert list(graph.neighbors[0]) == [1]
-        assert list(graph.neighbors[1]) == [0]
-        assert list(graph.neighbors[2]) == []
+        assert [list(n) for n in node_rows(graph)] == [[1], [0], []]
 
     def test_huge_radius_gives_complete_graph(self):
         rng = np.random.default_rng(4)
         cloud = random_cloud(rng, 8)
         graph = radius_graph(cloud, 1e12)
-        for i, nbrs in enumerate(graph.neighbors):
+        for i, nbrs in enumerate(node_rows(graph)):
             assert sorted(nbrs) == [j for j in range(8) if j != i]
 
     def test_matches_brute_force(self):
@@ -253,14 +249,14 @@ class TestRadiusGraph:
             n = int(rng.integers(2, 30))
             cloud = random_cloud(rng, n)
             r = float(rng.uniform(0.5, 6.0))
-            graph = radius_graph(cloud, r)
+            rows = node_rows(radius_graph(cloud, r))
             for i in range(n):
                 expect = [
                     j
                     for j in brute_sorted_neighbors(cloud.positions, i)
                     if ((cloud.positions[i] - cloud.positions[j]) ** 2).sum() <= r
                 ]
-                assert list(graph.neighbors[i]) == expect
+                assert list(rows[i]) == expect
 
 
 # ---------------------------------------------------------------------------

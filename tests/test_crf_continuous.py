@@ -34,6 +34,8 @@ from pointcrf import (
     solve_exact,
 )
 from util import (
+    graph_from_lists,
+    node_rows,
     random_cloud,
     random_pd_compat,
     random_symmetric_graph,
@@ -44,8 +46,7 @@ IDENTITY_READOUT = Activation()
 
 
 def two_node_setup():
-    graph = NeighborGraph(num_nodes=2, neighbors=[[1], [0]])
-    sim = SimilarityField(graph, [[1.0], [1.0]])
+    sim = SimilarityField(NeighborGraph(2, [0, 1, 2], [1, 0]), [1.0, 1.0])
     observed = np.array([[0.0], [2.0]])
     return sim, observed
 
@@ -67,45 +68,46 @@ def config(compat, steps=1, schedule="jacobi", tol=0.0):
 class TestPairwiseSimilarity:
     def test_equal_distances_share_mass(self):
         features = np.array([[0.0], [1.0], [-1.0], [1.0], [-1.0]])
-        graph = NeighborGraph(num_nodes=5, neighbors=[[1, 2, 3, 4], [], [], [], []])
+        graph = NeighborGraph(5, [0, 4, 4, 4, 4, 4], [1, 2, 3, 4])
         sim = pairwise_similarity(features, graph, PointwiseTransform.identity())
-        np.testing.assert_allclose(sim.values[0], 0.25)
+        np.testing.assert_allclose(sim.flat_values, 0.25)
 
     def test_hand_softmax(self):
         features = np.array([[0.0], [0.0], [math.sqrt(math.log(2.0))]])
-        graph = NeighborGraph(num_nodes=3, neighbors=[[1, 2], [], []])
+        graph = NeighborGraph(3, [0, 2, 2, 2], [1, 2])
         sim = pairwise_similarity(features, graph, PointwiseTransform.identity())
-        np.testing.assert_allclose(sim.values[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+        np.testing.assert_allclose(sim.flat_values, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     def test_identity_projection_is_plain_euclidean(self):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(6, 4))
         graph = random_symmetric_graph(rng, 6)
         sim = pairwise_similarity(features, graph, PointwiseTransform.identity())
-        for i, nbrs in enumerate(graph.neighbors):
+        values = node_rows(graph, sim.flat_values)
+        for i, nbrs in enumerate(node_rows(graph)):
             d2 = ((features[nbrs] - features[i]) ** 2).sum(axis=1)
             raw = np.exp(-(d2 - d2.min()))
-            np.testing.assert_allclose(sim.values[i], raw / raw.sum(), atol=1e-12)
+            np.testing.assert_allclose(values[i], raw / raw.sum(), atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         cloud = random_cloud(rng, 20, d=3)
         graph = random_symmetric_graph(rng, 20)
         sim = pairwise_similarity(cloud.features, graph, PointwiseTransform.identity())
-        for vals in sim.values:
+        for vals in node_rows(graph, sim.flat_values):
             if vals.size:
                 assert abs(vals.sum() - 1.0) <= 1e-12
                 assert np.all(vals >= 0)
 
     def test_large_distances_stay_stable(self):
         features = np.array([[0.0], [200.0], [-200.0]])
-        graph = NeighborGraph(num_nodes=3, neighbors=[[1, 2], [], []])
+        graph = NeighborGraph(3, [0, 2, 2, 2], [1, 2])
         sim = pairwise_similarity(features, graph, PointwiseTransform.identity())
-        assert np.all(np.isfinite(sim.values[0]))
-        np.testing.assert_allclose(sim.values[0].sum(), 1.0, atol=1e-12)
+        assert np.all(np.isfinite(sim.flat_values))
+        np.testing.assert_allclose(sim.flat_values.sum(), 1.0, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        graph = NeighborGraph(num_nodes=2, neighbors=[[1], [0]])
+        graph = NeighborGraph(2, [0, 1, 2], [1, 0])
         projection = PointwiseTransform.linear(np.eye(3))
         with pytest.raises(ValueError):
             pairwise_similarity(np.zeros((2, 2)), graph, projection)
@@ -122,20 +124,18 @@ class TestBalanceSimilarity:
         )
         balanced = balance_similarity(sim)
         assert balanced.max_asymmetry() <= 1e-12
-        for vals in balanced.values:
+        for vals in node_rows(balanced.graph, balanced.flat_values):
             if vals.size:
                 assert abs(vals.sum() - 1.0) <= 1e-9
 
     def test_unscalable_support_warns_but_stays_stochastic(self):
         # a star admits no doubly stochastic scaling: the hub row must sum to
         # one while every leaf needs its single edge at weight one
-        graph = NeighborGraph(num_nodes=4, neighbors=[[1, 2, 3], [0], [0], [0]])
-        sim = SimilarityField(
-            graph, [[1 / 3, 1 / 3, 1 / 3], [1.0], [1.0], [1.0]]
-        )
+        graph = NeighborGraph(4, [0, 3, 4, 5, 6], [1, 2, 3, 0, 0, 0])
+        sim = SimilarityField(graph, [1 / 3, 1 / 3, 1 / 3, 1.0, 1.0, 1.0])
         with pytest.warns(UserWarning, match="stalled"):
             balanced = balance_similarity(sim, max_iterations=200)
-        for vals in balanced.values:
+        for vals in node_rows(balanced.graph, balanced.flat_values):
             if vals.size:
                 assert abs(vals.sum() - 1.0) <= 1e-9
 
@@ -153,8 +153,7 @@ class TestCrfStep:
         assert state.steps_done == 1
 
     def test_empty_graph_halves_toward_anchor(self):
-        graph = NeighborGraph(num_nodes=3, neighbors=[[], [], []])
-        sim = SimilarityField(graph, [[], [], []])
+        sim = SimilarityField(NeighborGraph(3, [0, 0, 0, 0], []), [])
         observed = np.array([[2.0], [-4.0], [6.0]])
         cfg = config(CompatibilityMatrix.identity(1))
         state = crf_step(ContinuousCrfState.from_observed(observed), sim, cfg)
@@ -252,7 +251,7 @@ class TestEnergyTrace:
 
 class TestCrfConvolve:
     def test_composed_two_node_layer(self):
-        graph = NeighborGraph(num_nodes=2, neighbors=[[1], [0]])
+        graph = NeighborGraph(2, [0, 1, 2], [1, 0])
         observed = np.array([[0.0], [2.0]])
         cfg = CrfConfig(
             compat=CompatibilityMatrix.identity(1),
@@ -310,9 +309,8 @@ class TestCrfConvolve:
         )
         perm = rng.permutation(n)
         inverse = np.argsort(perm)
-        permuted_graph = NeighborGraph(
-            num_nodes=n, neighbors=[inverse[graph.neighbors[j]] for j in perm]
-        )
+        rows = node_rows(graph)
+        permuted_graph = graph_from_lists([inverse[rows[j]] for j in perm])
         permuted = crf_convolve(
             cloud.features[perm],
             permuted_graph,
@@ -359,8 +357,7 @@ class TestCrfConvolve:
 
 class TestMeanFieldCovariance:
     def test_isolated_node_is_half_identity(self):
-        graph = NeighborGraph(num_nodes=1, neighbors=[[]])
-        sim = SimilarityField(graph, [[]])
+        sim = SimilarityField(NeighborGraph(1, [0, 0], []), [])
         cov = mean_field_covariance(sim, CompatibilityMatrix.identity(3))
         np.testing.assert_array_equal(cov[0], 0.5 * np.eye(3))
 
@@ -377,7 +374,7 @@ class TestMeanFieldCovariance:
             if n > 1:
                 sim = symmetric_stochastic_field(rng, n)
             else:
-                sim = SimilarityField(NeighborGraph(num_nodes=1, neighbors=[[]]), [[]])
+                sim = SimilarityField(NeighborGraph(1, [0, 0], []), [])
             cov = mean_field_covariance(sim, random_pd_compat(rng, d))
             np.testing.assert_allclose(cov, np.swapaxes(cov, 1, 2), atol=1e-12)
             assert np.all(np.linalg.eigvalsh(cov) > 0)
@@ -391,10 +388,10 @@ class TestUpdateEquivalence:
         d = int(rng.integers(1, 8))
         if normalized:
             field = symmetric_stochastic_field(rng, n)
-            graph, sims = field.graph, field.values
+            graph, sims = field.graph, field.flat_values
         else:
             graph = random_symmetric_graph(rng, n)
-            sims = [rng.uniform(0.1, 2.0, size=nbrs.size) for nbrs in graph.neighbors]
+            sims = rng.uniform(0.1, 2.0, size=graph.num_edges)
         compat = random_pd_compat(rng, d)
         observed = rng.normal(size=(n, d))
         a = observed.copy()
@@ -423,7 +420,7 @@ class TestUpdateEquivalence:
         compat = random_pd_compat(rng, d)
         observed = rng.normal(size=(n, d))
         latent = rng.normal(size=(n, d))
-        general = coordinate_descent_step(observed, latent, sim.graph, sim.values, compat)
+        general = coordinate_descent_step(observed, latent, sim.graph, sim.flat_values, compat)
         state = ContinuousCrfState(observed=observed, latent=latent)
         stepped = crf_step(state, sim, config(compat))
         np.testing.assert_allclose(general, stepped.latent, atol=1e-11)

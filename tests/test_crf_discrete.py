@@ -18,11 +18,11 @@ from pointcrf import (
     read_probabilities,
     write_probabilities,
 )
-from util import random_simplex_rows, random_symmetric_graph
+from util import graph_from_lists, node_rows, random_simplex_rows, random_symmetric_graph
 
 
 def mutual_pair_graph():
-    return NeighborGraph(num_nodes=2, neighbors=[[1], [0]])
+    return NeighborGraph(2, [0, 1, 2], [1, 0])
 
 
 class TestKernelWeights:
@@ -30,13 +30,13 @@ class TestKernelWeights:
         graph = mutual_pair_graph()
         features = np.array([[0.3, 0.7], [0.3, 0.7]])
         weights = kernel_weights(features, graph, KernelMixture.default(2))
-        assert weights[0][0] == 1.0
+        assert weights[0] == 1.0
 
     def test_unit_gap_gives_exp_minus_one(self):
         graph = mutual_pair_graph()
         features = np.array([[0.0], [1.0]])
         weights = kernel_weights(features, graph, KernelMixture.default(1))
-        np.testing.assert_allclose(weights[0][0], math.exp(-1.0), atol=1e-15)
+        np.testing.assert_allclose(weights[0], math.exp(-1.0), atol=1e-15)
 
     def test_two_components_combine_convexly(self):
         graph = mutual_pair_graph()
@@ -45,7 +45,7 @@ class TestKernelWeights:
             projections=[np.eye(1), 2.0 * np.eye(1)], weights=[0.5, 0.5]
         )
         weights = kernel_weights(features, graph, mix)
-        assert weights[0][0] == 1.0
+        assert weights[0] == 1.0
 
     def test_negative_mixture_weight_warns(self):
         graph = mutual_pair_graph()
@@ -77,7 +77,7 @@ class TestDiscreteStep:
         field = LabelField.from_unary(random_simplex_rows(np.random.default_rng(1), 2, 3))
         graph = mutual_pair_graph()
         out = discrete_crf_step(
-            field, graph, [np.zeros(1), np.zeros(1)], LabelCompatibility.identity(3)
+            field, graph, np.zeros(2), LabelCompatibility.identity(3)
         )
         np.testing.assert_array_equal(out.posterior, field.unary)
 
@@ -86,7 +86,7 @@ class TestDiscreteStep:
         out = discrete_crf_step(
             field,
             mutual_pair_graph(),
-            [np.array([1.0]), np.array([1.0])],
+            np.array([1.0, 1.0]),
             LabelCompatibility.identity(2),
         )
         logits = np.log([0.9, 0.1]) - np.array([0.6, 0.4])
@@ -98,7 +98,7 @@ class TestDiscreteStep:
         rng = np.random.default_rng(2)
         n, labels = 8, 4
         graph = random_symmetric_graph(rng, n)
-        weights = [rng.uniform(0.2, 1.0, size=nbrs.size) for nbrs in graph.neighbors]
+        weights = rng.uniform(0.2, 1.0, size=graph.num_edges)
         field = LabelField.from_unary(random_simplex_rows(rng, n, labels))
         base = LabelCompatibility(matrix=rng.normal(size=(labels, labels)))
         shifted = LabelCompatibility(
@@ -114,7 +114,7 @@ class TestDiscreteStep:
             n = int(rng.integers(2, 12))
             labels = int(rng.integers(2, 6))
             graph = random_symmetric_graph(rng, n)
-            weights = [rng.uniform(0.0, 2.0, size=nbrs.size) for nbrs in graph.neighbors]
+            weights = rng.uniform(0.0, 2.0, size=graph.num_edges)
             field = LabelField.from_unary(random_simplex_rows(rng, n, labels))
             out = discrete_crf_step(
                 field, graph, weights, LabelCompatibility(rng.normal(size=(labels, labels)))
@@ -126,18 +126,18 @@ class TestDiscreteStep:
         rng = np.random.default_rng(4)
         n, labels = 9, 3
         graph = random_symmetric_graph(rng, n)
-        weights = [rng.uniform(0.2, 1.0, size=nbrs.size) for nbrs in graph.neighbors]
+        weights = rng.uniform(0.2, 1.0, size=graph.num_edges)
         unary = random_simplex_rows(rng, n, labels)
         compat = LabelCompatibility(rng.normal(size=(labels, labels)))
         base = discrete_crf_step(LabelField.from_unary(unary), graph, weights, compat)
         perm = rng.permutation(n)
         inverse = np.argsort(perm)
-        pgraph = NeighborGraph(
-            num_nodes=n, neighbors=[inverse[graph.neighbors[j]] for j in perm]
+        rows, weight_rows = node_rows(graph), node_rows(graph, weights)
+        pgraph = graph_from_lists(
+            [inverse[rows[j]] for j in perm], [weight_rows[j] for j in perm]
         )
-        pweights = [weights[j] for j in perm]
         permuted = discrete_crf_step(
-            LabelField.from_unary(unary[perm]), pgraph, pweights, compat
+            LabelField.from_unary(unary[perm]), pgraph, pgraph.weights, compat
         )
         np.testing.assert_allclose(permuted.posterior, base.posterior[perm], atol=1e-12)
 
@@ -145,7 +145,7 @@ class TestDiscreteStep:
         rng = np.random.default_rng(5)
         n, labels = 7, 4
         graph = random_symmetric_graph(rng, n)
-        weights = [rng.uniform(0.2, 1.0, size=nbrs.size) for nbrs in graph.neighbors]
+        weights = rng.uniform(0.2, 1.0, size=graph.num_edges)
         unary = random_simplex_rows(rng, n, labels)
         matrix = rng.normal(size=(labels, labels))
         sigma = rng.permutation(labels)
@@ -165,7 +165,7 @@ class TestDiscreteInfer:
     def test_empty_graph_returns_unaries(self):
         rng = np.random.default_rng(6)
         unary = random_simplex_rows(rng, 5, 3)
-        graph = NeighborGraph(num_nodes=5, neighbors=[[]] * 5)
+        graph = NeighborGraph(5, [0] * 6, [])
         out = discrete_crf_infer(
             unary,
             rng.normal(size=(5, 2)),
@@ -208,7 +208,7 @@ class TestDiscreteInfer:
         graph = knn_graph(cloud, 5)
         compat = LabelCompatibility.potts_complement(2)
         mix = KernelMixture(projections=[0.2 * np.eye(3)], weights=[1.0])
-        weights = kernel_weights(cloud.positions, graph, mix)
+        weights = node_rows(graph, kernel_weights(cloud.positions, graph, mix))
         out = discrete_crf_infer(
             unary, cloud.positions, graph, mix, compat, steps=5
         )
@@ -218,7 +218,7 @@ class TestDiscreteInfer:
             assert refined[i] == truth[i]
             # brute-force single-node conditional update from the unaries
             message = sum(
-                w * unary[j] for j, w in zip(graph.neighbors[i], weights[i])
+                w * unary[j] for j, w in zip(node_rows(graph)[i], weights[i])
             )
             logits = np.log(np.maximum(unary[i], 1e-12)) - compat.matrix @ message
             assert int(np.argmax(logits)) == truth[i]

@@ -133,7 +133,7 @@ def test_zero_upstream_gives_zero_gradients():
 
 
 def test_two_node_single_step_inputs_gradient():
-    graph = NeighborGraph(num_nodes=2, neighbors=[[1], [0]])
+    graph = NeighborGraph(2, [0, 1, 2], [1, 0])
     observed = np.array([[0.0], [2.0]])
     cfg = CrfConfig(
         compat=CompatibilityMatrix.identity(1), steps=1, readout=Activation()

@@ -1,5 +1,5 @@
-"""The CSR graph core: validation, per-node views, and every flat kernel
-checked against the per-node loop it replaced (references in ``util``)."""
+"""The CSR graph core: validation, flat read-only storage, and every flat
+kernel checked against the per-node loop it replaced (references in ``util``)."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,8 @@ from pointcrf import (
 )
 from pointcrf.cloud import segment_reduce
 from util import (
+    graph_from_lists,
+    node_rows,
     random_pd_compat,
     reference_aggregate,
     reference_anchored_step,
@@ -55,8 +57,7 @@ def cases(draw):
     else:
         adjacency = np.zeros((n, n), dtype=bool)
     np.fill_diagonal(adjacency, False)
-    neighbors = [rng.permutation(np.flatnonzero(row)) for row in adjacency]
-    return NeighborGraph(num_nodes=n, neighbors=neighbors), rng
+    return graph_from_lists([rng.permutation(np.flatnonzero(row)) for row in adjacency]), rng
 
 
 def edge_weights(graph, rng):
@@ -89,7 +90,8 @@ def test_similarity_softmax_matches_per_node_loop(case, projected, spread):
         else PointwiseTransform.identity()
     )
     sim = pairwise_similarity(features, graph, projection)
-    assert_rows_close(sim.values, reference_similarity(features, graph, projection))
+    want = reference_similarity(features, graph, projection)
+    assert_rows_close(node_rows(graph, sim.flat_values), want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -99,7 +101,7 @@ def test_aggregate_matches_per_node_loop(case):
     sim = asymmetric_field(graph, rng)
     node_values = rng.uniform(0.5, 2.0, size=(graph.num_nodes, 3))
     np.testing.assert_allclose(
-        sim.aggregate(node_values), reference_aggregate(graph, sim.values, node_values),
+        sim.aggregate(node_values), reference_aggregate(graph, sim.flat_values, node_values),
         rtol=RTOL, atol=0.0,
     )
 
@@ -118,8 +120,7 @@ def test_discrete_step_matches_per_node_loop(case):
     compat = LabelCompatibility(rng.normal(size=(labels, labels)))
     weights = edge_weights(graph, rng)
     got = discrete_crf_step(LabelField(unary, posterior), graph, weights, compat).posterior
-    rows = np.split(weights, graph.indptr[1:-1])
-    want = reference_discrete_step(unary, posterior, graph, rows, compat.matrix)
+    want = reference_discrete_step(unary, posterior, graph, weights, compat.matrix)
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
 
@@ -136,10 +137,9 @@ def test_anchored_steps_match_per_node_loop(step, case):
     observed, latent = rng.normal(size=(2, graph.num_nodes, 3))
     compat = random_pd_compat(rng, 3)
     weights = edge_weights(graph, rng)
-    rows = np.split(weights, graph.indptr[1:-1])
     assert_close_to_scale(
         step(observed, latent, graph, weights, compat),
-        reference_anchored_step(observed, latent, graph, rows, compat.matrix),
+        reference_anchored_step(observed, latent, graph, weights, compat.matrix),
     )
 
 
@@ -173,7 +173,7 @@ def test_dirichlet_energy_matches_per_node_loop(case):
 def test_max_asymmetry_matches_per_node_loop(case):
     graph, rng = case
     sim = asymmetric_field(graph, rng)
-    assert sim.max_asymmetry() == reference_max_asymmetry(graph, sim.values)
+    assert sim.max_asymmetry() == reference_max_asymmetry(graph, sim.flat_values)
 
 
 class TestSegmentReduce:
@@ -191,85 +191,93 @@ class TestSegmentReduce:
 
 
 class TestGraphStorage:
-    def test_per_node_views_are_read_only_slices_of_flat_arrays(self):
-        graph = NeighborGraph(num_nodes=3, neighbors=[[2, 1], [], [0]],
-                              edge_weights=[[0.5, 1.5], [], [2.0]])
+    def test_flat_arrays_are_read_only(self):
+        graph = NeighborGraph(3, [0, 2, 2, 3], [2, 1, 0], [0.5, 1.5, 2.0])
         np.testing.assert_array_equal(graph.indptr, [0, 2, 2, 3])
         np.testing.assert_array_equal(graph.indices, [2, 1, 0])
         np.testing.assert_array_equal(graph.weights, [0.5, 1.5, 2.0])
-        assert [list(n) for n in graph.neighbors] == [[2, 1], [], [0]]
-        with pytest.raises(ValueError):
-            graph.edge_weights[0][0] = 9.0
-        with pytest.raises(ValueError):
-            graph.indices[0] = 1
+        for flat in (graph.indptr, graph.indices, graph.weights):
+            with pytest.raises(ValueError):
+                flat[0] = 1
 
     def test_to_csr_round_trips(self):
-        graph = NeighborGraph(num_nodes=3, neighbors=[[2, 1], [], [0]],
-                              edge_weights=[[0.5, 1.5], [], [2.0]])
+        graph = NeighborGraph(3, [0, 2, 2, 3], [2, 1, 0], [0.5, 1.5, 2.0])
         dense = graph.to_csr().toarray()
         np.testing.assert_array_equal(dense, [[0, 1.5, 0.5], [0, 0, 0], [2.0, 0, 0]])
-        again = NeighborGraph.from_csr(3, graph.indptr, graph.indices, graph.weights)
+        again = NeighborGraph(3, graph.indptr, graph.indices, graph.weights)
         np.testing.assert_array_equal(again.to_csr().toarray(), dense)
 
     def test_weighted_graphs_share_the_structure(self):
-        graph = NeighborGraph(num_nodes=2, neighbors=[[1], [0]])
-        sim = SimilarityField(graph, [[1.0], [1.0]])
-        for weighted in (sim.as_weighted_graph(), sim.half_weighted_graph()):
+        graph = NeighborGraph(2, [0, 1, 2], [1, 0])
+        sim = SimilarityField(graph, [1.0, 1.0])
+        for weighted in (sim.graph, sim.half_weighted_graph()):
             assert weighted.indices is graph.indices
             assert weighted.indptr is graph.indptr
+        np.testing.assert_array_equal(sim.graph.weights, sim.flat_values)
         np.testing.assert_array_equal(sim.half_weighted_graph().weights, [0.5, 0.5])
         assert graph.weights is None
 
     def test_operators_follow_their_own_weights(self):
-        graph = NeighborGraph(num_nodes=3, neighbors=[[1, 2], [0], [0]],
-                              edge_weights=[[1.0, 2.0], [3.0], [4.0]])
+        graph = NeighborGraph(3, [0, 2, 3, 4], [1, 2, 0, 0], [1.0, 2.0, 3.0, 4.0])
         x = np.array([1.0, 10.0, 100.0])
         # cache the operator before anything derives from the graph
         np.testing.assert_array_equal(graph.operator @ x, [210.0, 3.0, 4.0])
         reweighted = graph.with_weights(np.array([0.5, 0.5, 1.0, 1.0]))
         np.testing.assert_array_equal(reweighted.operator @ x, [55.0, 1.0, 1.0])
-        first = SimilarityField(graph, [[0.25, 0.75], [1.0], [1.0]])
-        second = SimilarityField(graph, [[0.5, 0.5], [1.0], [1.0]])
+        first = SimilarityField(graph, [0.25, 0.75, 1.0, 1.0])
+        second = SimilarityField(graph, [0.5, 0.5, 1.0, 1.0])
         np.testing.assert_array_equal(first.aggregate(x), [77.5, 1.0, 1.0])
         np.testing.assert_array_equal(second.aggregate(x), [55.0, 1.0, 1.0])
         np.testing.assert_array_equal(graph.operator @ x, [210.0, 3.0, 4.0])
 
 
+# ``neighbors`` is (indptr, indices) on 3 nodes; ``weights`` is flat, one per edge
 @pytest.mark.parametrize(
     "neighbors, weights, message",
     [
-        ([[1], [0], [2]], None, "node 2 lists itself"),
-        ([[1], [0], [3]], None, "node 2 has a neighbor index out of range"),
-        ([[1], [-1], [0]], None, "node 1 has a neighbor index out of range"),
-        ([[1], [0], [0, 1, 0]], None, "node 2 lists a duplicate"),
-        ([[1], [0], [0]], [[1.0], [1.0], [-0.5]], "node 2: edge weights must be finite"),
-        ([[1], [0], [0]], [[1.0], [np.nan], [1.0]], "node 1: edge weights must be finite"),
-        ([[1], [0], [0]], [[np.inf], [1.0], [1.0]], "node 0: edge weights must be finite"),
-        ([[1], [0], [0]], [[1.0], [1.0, 2.0], [1.0]], "node 1: edge_weights row shape"),
+        (([0, 1, 2, 3], [1, 0, 2]), None, "node 2 lists itself"),
+        (([0, 1, 2, 3], [1, 0, 3]), None, "node 2 has a neighbor index out of range"),
+        (([0, 1, 2, 3], [1, -1, 0]), None, "node 1 has a neighbor index out of range"),
+        (([0, 1, 2, 5], [1, 0, 0, 1, 0]), None, "node 2 lists a duplicate"),
+        (([0, 1, 2, 3], [1, 0, 0]), [1.0, 1.0, -0.5], "node 2: edge weights must be finite"),
+        (([0, 1, 2, 3], [1, 0, 0]), [1.0, np.nan, 1.0], "node 1: edge weights must be finite"),
+        (([0, 1, 2, 3], [1, 0, 0]), [np.inf, 1.0, 1.0], "node 0: edge weights must be finite"),
     ],
 )
 def test_neighbor_graph_rejects_and_names_the_node(neighbors, weights, message):
     with pytest.raises(ValueError, match=message):
-        NeighborGraph(num_nodes=3, neighbors=neighbors, edge_weights=weights)
+        NeighborGraph(3, *neighbors, weights)
 
 
-def test_from_csr_rejects_a_malformed_indptr():
+def test_constructor_rejects_a_malformed_indptr():
     with pytest.raises(ValueError, match="indptr"):
-        NeighborGraph.from_csr(2, [0, 2, 1], [1, 0])
+        NeighborGraph(2, [0, 2, 1], [1, 0])
     with pytest.raises(ValueError, match="node 1 lists itself"):
-        NeighborGraph.from_csr(2, [0, 1, 2], [1, 1])
+        NeighborGraph(2, [0, 1, 2], [1, 1])
 
 
 @pytest.mark.parametrize(
     "values, message",
     [
-        ([[0.5, 0.5], [1.0], [0.7, 0.2]], "node 2: similarities sum to"),
-        ([[1.5, -0.5], [1.0], [0.5, 0.5]], "node 0: similarities must be finite"),
-        ([[0.5, 0.5], [np.nan], [0.5, 0.5]], "node 1: similarities must be finite"),
-        ([[0.5, 0.5], [1.0]], "expected 3 similarity rows"),
+        ([0.5, 0.5, 1.0, 0.7, 0.2], "node 2: similarities sum to"),
+        ([1.5, -0.5, 1.0, 0.5, 0.5], "node 0: edge weights must be finite"),
+        ([0.5, 0.5, np.nan, 0.5, 0.5], "node 1: edge weights must be finite"),
     ],
 )
 def test_similarity_field_rejects_and_names_the_node(values, message):
-    graph = NeighborGraph(num_nodes=3, neighbors=[[1, 2], [0], [0, 1]])
+    graph = NeighborGraph(3, [0, 2, 3, 5], [1, 2, 0, 0, 1])
     with pytest.raises(ValueError, match=message):
+        SimilarityField(graph, values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[[0.5, 0.5], [1.0], [0.5, 0.5]], [[1.0]] * 5, [0.2] * 5 + [0.0]],
+    ids=["rows", "2-D", "mis-sized"],
+)
+def test_edge_arrays_must_be_flat_and_sized(values):
+    graph = NeighborGraph(3, [0, 2, 3, 5], [1, 2, 0, 0, 1])
+    with pytest.raises(ValueError, match="edge weights must be a flat array of 5 values"):
+        graph.with_weights(values)
+    with pytest.raises(ValueError, match="similarities must be a flat array of 5 values"):
         SimilarityField(graph, values)

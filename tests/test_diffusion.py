@@ -16,9 +16,7 @@ from util import symmetric_stochastic_field
 
 
 def two_node_graph():
-    return NeighborGraph(
-        num_nodes=2, neighbors=[[1], [0]], edge_weights=[[1.0], [1.0]]
-    )
+    return NeighborGraph(2, [0, 1, 2], [1, 0], [1.0, 1.0])
 
 
 class TestDiffusionStep:
@@ -26,7 +24,7 @@ class TestDiffusionStep:
         rng = np.random.default_rng(0)
         sim = symmetric_stochastic_field(rng, 10)
         h = np.full((10, 2), 1.25)
-        out = diffusion_step(h, sim.as_weighted_graph(), 0.5)
+        out = diffusion_step(h, sim.graph, 0.5)
         np.testing.assert_allclose(out, h, atol=1e-12)
 
     def test_two_node_half_rate_midpoint(self):
@@ -37,11 +35,10 @@ class TestDiffusionStep:
         rng = np.random.default_rng(1)
         h = rng.normal(size=(6, 3))
         sim = symmetric_stochastic_field(rng, 6)
-        np.testing.assert_array_equal(diffusion_step(h, sim.as_weighted_graph(), 0.0), h)
+        np.testing.assert_array_equal(diffusion_step(h, sim.graph, 0.0), h)
 
     def test_isolated_nodes_never_move(self):
-        graph = NeighborGraph(num_nodes=3, neighbors=[[1], [0], []],
-                              edge_weights=[[1.0], [1.0], []])
+        graph = NeighborGraph(3, [0, 1, 2, 2], [1, 0], [1.0, 1.0])
         h = np.array([[0.0], [2.0], [5.0]])
         out = diffusion_step(h, graph, 0.5)
         assert out[2, 0] == 5.0
@@ -51,7 +48,7 @@ class TestDiffusionStep:
         for _ in range(15):
             n = int(rng.integers(2, 15))
             sim = symmetric_stochastic_field(rng, n)
-            graph = sim.as_weighted_graph()
+            graph = sim.graph
             h = rng.normal(size=(n, 1))
             lo, hi = h.min(), h.max()
             c = float(rng.uniform(0.05, 1.0))
@@ -62,7 +59,7 @@ class TestDiffusionStep:
     def test_mean_preserved_on_doubly_stochastic_weights(self):
         rng = np.random.default_rng(3)
         sim = symmetric_stochastic_field(rng, 12)
-        graph = sim.as_weighted_graph()
+        graph = sim.graph
         h = rng.normal(size=(12, 2))
         total = h.sum(axis=0)
         for _ in range(25):
@@ -75,7 +72,7 @@ class TestDiffuseToSteady:
         rng = np.random.default_rng(4)
         sim = symmetric_stochastic_field(rng, 8)
         h = np.full((8, 1), 2.0)
-        out, steps = diffuse_to_steady(h, sim.as_weighted_graph(), 0.5, tol=1e-10)
+        out, steps = diffuse_to_steady(h, sim.graph, 0.5, tol=1e-10)
         assert steps == 0
         np.testing.assert_array_equal(out, h)
 
@@ -89,7 +86,7 @@ class TestDiffuseToSteady:
     def test_steady_state_kills_the_laplacian(self):
         rng = np.random.default_rng(5)
         sim = symmetric_stochastic_field(rng, 10)
-        graph = sim.as_weighted_graph()
+        graph = sim.graph
         h = rng.normal(size=(10, 1))
         out, _ = diffuse_to_steady(h, graph, 0.5, tol=1e-12, max_steps=20000)
         after = diffusion_step(out, graph, 0.5)
@@ -100,7 +97,7 @@ class TestDiffuseToSteady:
         for _ in range(10):
             n = int(rng.integers(2, 12))
             sim = symmetric_stochastic_field(rng, n)
-            graph = sim.as_weighted_graph()
+            graph = sim.graph
             h = rng.normal(size=(n, 1))
             before = multichannel_dirichlet(graph, h)
             h2 = diffusion_step(h, graph, 0.5)
@@ -129,8 +126,7 @@ class TestCompareReport:
             assert len(report.rows) == 3
 
     def test_two_node_limits_differ(self):
-        graph = NeighborGraph(num_nodes=2, neighbors=[[1], [0]])
-        sim = SimilarityField(graph, [[1.0], [1.0]])
+        sim = SimilarityField(NeighborGraph(2, [0, 1, 2], [1, 0]), [1.0, 1.0])
         observed = np.array([[0.0], [2.0]])
         report = compare_crf_vs_diffusion(observed, sim, steps=120)
         last = report.rows[-1]

@@ -17,6 +17,8 @@ from pointcrf import (
     solve_exact,
 )
 from util import (
+    graph_from_lists,
+    node_rows,
     random_pd_compat,
     random_symmetric_graph,
     reference_solve,
@@ -26,17 +28,9 @@ from util import (
 
 def two_node_model(similarity, observed=((0.0,), (2.0,)), mutual=True):
     if mutual:
-        graph = NeighborGraph(
-            num_nodes=2,
-            neighbors=[[1], [0]],
-            edge_weights=[[similarity], [similarity]],
-        )
+        graph = NeighborGraph(2, [0, 1, 2], [1, 0], [similarity, similarity])
     else:
-        graph = NeighborGraph(
-            num_nodes=2,
-            neighbors=[[1], []],
-            edge_weights=[[similarity], []],
-        )
+        graph = NeighborGraph(2, [0, 1, 1], [1], [similarity])
     return QuadraticEnergyModel(
         graph=graph,
         compat=CompatibilityMatrix.identity(1),
@@ -46,10 +40,8 @@ def two_node_model(similarity, observed=((0.0,), (2.0,)), mutual=True):
 
 def random_model(rng, n, d, scale=0.5):
     graph = random_symmetric_graph(rng, n)
-    weights = [rng.uniform(0.0, 1.0, size=nbrs.size) for nbrs in graph.neighbors]
-    weighted = NeighborGraph(num_nodes=n, neighbors=graph.neighbors, edge_weights=weights)
     return QuadraticEnergyModel(
-        graph=weighted,
+        graph=graph.with_weights(rng.uniform(0.0, 1.0, size=graph.num_edges)),
         compat=random_pd_compat(rng, d, scale=scale),
         observed=rng.normal(size=(n, d)),
     )
@@ -103,10 +95,9 @@ class TestEvaluateEnergy:
         latent = rng.normal(size=(12, 3))
         perm = rng.permutation(12)
         inverse = np.argsort(perm)
-        permuted_graph = NeighborGraph(
-            num_nodes=12,
-            neighbors=[inverse[model.graph.neighbors[j]] for j in perm],
-            edge_weights=[model.graph.edge_weights[j] for j in perm],
+        rows, weights = node_rows(model.graph), node_rows(model.graph, model.graph.weights)
+        permuted_graph = graph_from_lists(
+            [inverse[rows[j]] for j in perm], [weights[j] for j in perm]
         )
         permuted = QuadraticEnergyModel(
             graph=permuted_graph, compat=model.compat, observed=model.observed[perm]
@@ -197,18 +188,16 @@ class TestDirichletEnergy:
     def test_constant_signal_is_flat(self):
         rng = np.random.default_rng(11)
         sim = symmetric_stochastic_field(rng, 15)
-        graph = sim.as_weighted_graph()
+        graph = sim.graph
         value = dirichlet_energy(graph, np.full(15, 3.7))
         assert abs(value) <= 1e-12
 
     def test_two_node_hand_value(self):
-        graph = NeighborGraph(
-            num_nodes=2, neighbors=[[1], [0]], edge_weights=[[1.0], [1.0]]
-        )
+        graph = NeighborGraph(2, [0, 1, 2], [1, 0], [1.0, 1.0])
         assert dirichlet_energy(graph, np.array([0.0, 2.0])) == 4.0
 
     def test_isolated_node_contributes_its_square(self):
-        graph = NeighborGraph(num_nodes=2, neighbors=[[], []], edge_weights=[[], []])
+        graph = NeighborGraph(2, [0, 0, 0], [], [])
         assert dirichlet_energy(graph, np.array([3.0, 1.0])) == 10.0
 
     def test_nonnegative_on_symmetric_normalized_scan(self):
@@ -217,7 +206,7 @@ class TestDirichletEnergy:
         for _ in range(1000):
             n = int(rng.integers(2, 10))
             sim = symmetric_stochastic_field(rng, n)
-            graph = sim.as_weighted_graph()
+            graph = sim.graph
             if dirichlet_energy(graph, rng.normal(size=n)) < -1e-12:
                 violations += 1
         assert violations == 0

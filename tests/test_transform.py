@@ -99,3 +99,21 @@ def test_load_rejects_truncated_file_naming_the_path(tmp_path, text, message):
     with pytest.raises(ValueError, match=message) as info:
         PointwiseTransform.load(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("pointwise-transform 1\nlayers -1\n", "layer count must be >= 0, got -1"),
+        ("pointwise-transform 1\nlayers x\n", "layer count: 'x' is not a valid int"),
+        ("pointwise-transform 1\nlayers 1\nlayer 0 a 1 identity\nweights 1.0\nbias 0.0\n",
+         "layer 0: 'a' is not a valid int"),
+    ],
+    ids=["negative-count", "non-integer-count", "non-integer-header"],
+)
+def test_load_rejects_bad_counts_naming_the_path(tmp_path, text, message):
+    path = tmp_path / "weights.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        PointwiseTransform.load(path)
+    assert str(path) in str(info.value)

@@ -16,6 +16,22 @@ from pointcrf.cloud import COINCIDENT_DISTANCE
 from pointcrf.energy import _system_operator
 
 
+def graph_from_lists(neighbors, weights=None) -> NeighborGraph:
+    """CSR graph from per-node neighbor lists and optional per-node weight rows."""
+    rows = [np.asarray(r, dtype=np.int64).reshape(-1) for r in neighbors]
+    indptr = np.cumsum([0] + [r.size for r in rows])
+    if weights is not None:
+        weights = np.concatenate([np.empty(0)] + [np.reshape(w, -1) for w in weights])
+    indices = np.concatenate([np.empty(0, np.int64)] + rows)
+    return NeighborGraph(len(rows), indptr, indices, weights)
+
+
+def node_rows(graph, flat=None) -> list:
+    """Per-node slices of a flat per-edge array (default: the neighbor indices)."""
+    flat = graph.indices if flat is None else np.asarray(flat)
+    return np.split(flat, graph.indptr[1:-1])[: graph.num_nodes]
+
+
 def random_cloud(rng, n, d=3, spread=1.0):
     return PointCloud(
         positions=rng.normal(scale=spread, size=(n, 3)),
@@ -27,7 +43,7 @@ def random_symmetric_graph(rng, n, extra_edge_prob=0.2) -> NeighborGraph:
     """Ring lattice plus random mutual pairs; every node has a neighbor."""
     adjacency = [set() for _ in range(n)]
     if n == 1:
-        return NeighborGraph(num_nodes=1, neighbors=[np.empty(0, dtype=np.int64)])
+        return NeighborGraph(1, [0, 0], [])
     for i in range(n):
         j = (i + 1) % n
         adjacency[i].add(j)
@@ -37,8 +53,7 @@ def random_symmetric_graph(rng, n, extra_edge_prob=0.2) -> NeighborGraph:
             if rng.random() < extra_edge_prob:
                 adjacency[i].add(j)
                 adjacency[j].add(i)
-    neighbors = [np.array(sorted(a), dtype=np.int64) for a in adjacency]
-    return NeighborGraph(num_nodes=n, neighbors=neighbors)
+    return graph_from_lists([sorted(a) for a in adjacency])
 
 
 def symmetric_stochastic_field(rng, n, components=3) -> SimilarityField:
@@ -57,10 +72,8 @@ def symmetric_stochastic_field(rng, n, components=3) -> SimilarityField:
         cycle = np.zeros((n, n))
         cycle[order, np.roll(order, -1)] = 1.0
         dense += weight * 0.5 * (cycle + cycle.T)
-    neighbors = [np.flatnonzero(dense[i]) for i in range(n)]
-    values = [dense[i, nbrs] for i, nbrs in enumerate(neighbors)]
-    graph = NeighborGraph(num_nodes=n, neighbors=neighbors)
-    return SimilarityField(graph, values)
+    support = sp.csr_matrix(dense)
+    return SimilarityField(NeighborGraph(n, support.indptr, support.indices), support.data)
 
 
 def random_pd_compat(rng, d, scale=0.5, epsilon=1e-4) -> CompatibilityMatrix:
@@ -96,7 +109,7 @@ def reference_similarity(features, graph, projection):
     """Per-node softmax of negative squared projected distances (list of rows)."""
     projected = projection.apply(np.asarray(features, dtype=np.float64))
     values = []
-    for i, nbrs in enumerate(graph.neighbors):
+    for i, nbrs in enumerate(node_rows(graph)):
         if nbrs.size == 0:
             values.append(np.empty(0, dtype=np.float64))
             continue
@@ -110,7 +123,7 @@ def reference_similarity(features, graph, projection):
 def reference_aggregate(graph, values, node_values):
     """Per-node sum of value * node_values[neighbor] over outgoing edges."""
     out = np.zeros((graph.num_nodes, node_values.shape[1]))
-    for i, (nbrs, vals) in enumerate(zip(graph.neighbors, values)):
+    for i, (nbrs, vals) in enumerate(zip(node_rows(graph), node_rows(graph, values))):
         if nbrs.size:
             out[i] = vals @ node_values[nbrs]
     return out
@@ -141,7 +154,7 @@ def reference_anchored_step(observed, latent, graph, weights, coupling):
     given latent state; nodes without neighbors keep their anchor z_i."""
     out = observed.copy()
     eye = np.eye(coupling.shape[0])
-    for i, (nbrs, s) in enumerate(zip(graph.neighbors, weights)):
+    for i, (nbrs, s) in enumerate(zip(node_rows(graph), node_rows(graph, weights))):
         if nbrs.size:
             out[i] = np.linalg.solve(
                 eye + s.sum() * coupling, observed[i] + coupling @ (s @ latent[nbrs])
@@ -152,7 +165,7 @@ def reference_anchored_step(observed, latent, graph, weights, coupling):
 def reference_diffusion_step(graph, signal, coefficient):
     """Per node: h_i - c * sum_j w_ij (h_i - h_j), for (N,) or (N, d) signals."""
     out = signal.copy()
-    for i, (nbrs, w) in enumerate(zip(graph.neighbors, graph.edge_weights)):
+    for i, (nbrs, w) in enumerate(zip(node_rows(graph), node_rows(graph, graph.weights))):
         out[i] = signal[i] - coefficient * (w @ (signal[i] - signal[nbrs]))
     return out
 
@@ -160,7 +173,7 @@ def reference_diffusion_step(graph, signal, coefficient):
 def reference_dirichlet(graph, signal):
     """h^T (I - D^-1 W) h with zero-degree rows treated as isolated."""
     lh = signal.copy()
-    for i, (nbrs, w) in enumerate(zip(graph.neighbors, graph.edge_weights)):
+    for i, (nbrs, w) in enumerate(zip(node_rows(graph), node_rows(graph, graph.weights))):
         deg = float(w.sum())
         if nbrs.size and deg > 0.0:
             lh[i] -= float(w @ signal[nbrs]) / deg
@@ -170,7 +183,7 @@ def reference_dirichlet(graph, signal):
 def reference_max_asymmetry(graph, values):
     """max |s_ij - s_ji| over all edges, a missing reverse edge counting as 0."""
     table = {}
-    for i, (nbrs, vals) in enumerate(zip(graph.neighbors, values)):
+    for i, (nbrs, vals) in enumerate(zip(node_rows(graph), node_rows(graph, values))):
         for j, v in zip(nbrs, vals):
             table[(i, int(j))] = float(v)
     return max((abs(v - table.get((j, i), 0.0)) for (i, j), v in table.items()), default=0.0)
@@ -266,8 +279,7 @@ def reference_balance(sim, max_iterations=5000, tol=1e-13):
     else:
         dense = 0.5 * (dense + dense.T)
     support = sp.csr_matrix(dense)
-    graph = NeighborGraph.from_csr(n, support.indptr, support.indices)
-    return SimilarityField(graph, support.data)
+    return SimilarityField(NeighborGraph(n, support.indptr, support.indices), support.data)
 
 
 # ---------------------------------------------------------------------------
