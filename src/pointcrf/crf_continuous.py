@@ -191,50 +191,113 @@ def balance_similarity(
 ) -> SimilarityField:
     """Rebalance a similarity field into a symmetric row-stochastic one.
 
-    Averages each edge with its reverse, then alternately normalizes rows and
-    columns (Sinkhorn) on the symmetric support and symmetrizes the result.
-    The iterate is diag(r) A diag(c) on the averaged support A: rows set
-    r = 1 / (A c) where active, columns c = 1 / (A^T r) where nonzero, and
-    the residuals reuse both products, so a sweep is two sparse matvecs.
-    A symmetric field makes the message-passing update exact coordinate
-    descent of the halved-similarity energy, which guarantees non-increasing
-    gauss-seidel traces. A stalled run (some sparsity patterns, e.g. stars,
-    admit no doubly stochastic scaling) warns and ends on a row normalization.
+    Averages each edge with its reverse into A = (S + S^T) / 2 and finds one
+    scaling vector x with x * (A x) = 1 on every row that has neighbors, by
+    the symmetric Newton iteration of Knight & Ruiz ("A fast algorithm for
+    matrix balancing", IMA J. Numer. Anal. 33(3), 2013). ``max_iterations``
+    caps the sparse matrix-vector products, and the run converges once
+    max |x_i (A x)_i - 1| over those rows is below ``tol``. The result is
+    diag(x) A diag(x), formed entrywise as a_ij (x_i x_j) so that it is
+    exactly symmetric. A symmetric field makes the message-passing update
+    exact coordinate descent of the halved-similarity energy, which
+    guarantees non-increasing gauss-seidel traces.
+
+    Nodes without neighbors keep an empty row. A run that stops short
+    (residual 1e-9 or more when the budget is spent, a scaling leaving
+    [1e-100, 1e100] or a singular Newton system) warns and returns the
+    row-normalized last iterate. The warning names a node without a partner
+    in a perfect matching of the support, which proves that no doubly
+    stochastic scaling exists (stars), or else says why the run stopped.
     """
     n = sim.num_nodes
     s = sim.graph.operator
     a = 0.5 * (s + s.T)
-    at = a.T
-    r, c = np.ones(n), np.ones(n)
-    ac = a @ c
-    active = ac > 0
-    residual = np.inf
-    for _ in range(max_iterations):
-        np.divide(1.0, ac, out=r, where=active)
-        atr = at @ r
-        np.divide(1.0, atr, out=c, where=atr != 0)
-        ac = a @ c
-        residual = np.abs(np.stack((r * ac, c * atr)) - 1.0).max(initial=0.0, where=active)
-        if residual < tol:
+    isolated = (a @ np.ones(n)) == 0
+    # a unit diagonal on isolated rows balances them at x = 1 exactly
+    b = a + sp.diags(isolated.astype(np.float64)) if isolated.any() else a
+    x = np.ones(n)
+    v = b @ x
+    rk = 1.0 - v
+    residual, rout = np.abs(rk).max(initial=0.0), rk @ rk
+    matvecs, eta, diverged = 1, 0.1, False
+    while residual >= tol and matvecs + 1 < max_iterations:
+        # the floor keeps an inner solve running while max |rk| >= tol
+        inner_tol = max(eta * eta * rout, 0.25 * tol * tol)
+        x_new, used = _newton_step(b, x, v, rk, inner_tol, max_iterations - matvecs - 1)
+        matvecs += used
+        if x_new is None or not (1e-100 <= x_new.min() and x_new.max() <= 1e100):
+            diverged = True
             break
-        if max(r.max(initial=1.0), c.max(initial=1.0)) > 1e100:
-            # unscalable supports (stars) push scalings to overflow: fold into A
-            a = sp.diags(r) @ a @ sp.diags(c)
-            at = a.T
-            ac *= r
-            r[:], c[:] = 1.0, 1.0
+        x = x_new
+        v = x * (b @ x)
+        matvecs += 1
+        rk, rold = 1.0 - v, rout
+        residual, rout = np.abs(rk).max(initial=0.0), rk @ rk
+        # the paper's forcing term (g = 0.9, eta_max = 0.1); with eta <= 0.1
+        # its safeguard max(eta, g * eta_prev^2) never applies
+        eta = min(0.1, 0.9 * rout / rold)
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    scale = x[rows] * x[a.indices]  # x_i x_j = x_j x_i, so the field is exactly symmetric
     if residual >= 1e-9:
         warnings.warn(
             f"similarity balancing stalled at residual {residual:.3e}; "
-            "the support may admit no doubly stochastic scaling",
+            + _stall_cause(a, isolated, diverged, max_iterations),
             stacklevel=2,
         )
-        np.divide(1.0, ac, out=r, where=active)
-    p = sp.diags(r) @ a @ sp.diags(c)
-    p = sp.csr_matrix(p if residual >= 1e-9 else 0.5 * (p + p.T))
+        scale /= v[rows]
+    p = sp.csr_matrix((a.data * scale, a.indices, a.indptr), shape=(n, n))
     p.eliminate_zeros()
     p.sort_indices()
     return SimilarityField(NeighborGraph(n, p.indptr, p.indices), p.data)
+
+
+def _newton_step(b, x, v, rk, inner_tol, budget):
+    """One Knight-Ruiz Newton step, solved by diagonally preconditioned CG.
+
+    Returns the next scaling x * y, with every factor kept in
+    0.1 <= y <= 3 (the paper's delta and Delta), and the matrix-vector
+    products used; the scaling is None when the Newton system is singular
+    along the search direction.
+    """
+    y, p = np.ones(len(x)), np.zeros(len(x))
+    z = rk / v
+    rho, rho_prev, used = rk @ z, np.inf, 0
+    while rho > inner_tol and used < budget:
+        p = z + (rho / rho_prev) * p
+        w = x * (b @ (x * p)) + v * p
+        used += 1
+        curvature = p @ w
+        if not curvature > 0:
+            return None, used
+        alpha = rho / curvature
+        step = alpha * p
+        y_new = y + step
+        if y_new.min() <= 0.1 or y_new.max() >= 3.0:
+            # stop where the step first meets the boundary of the cone
+            moving = step != 0
+            y += ((np.where(step < 0, 0.1, 3.0) - y)[moving] / step[moving]).min() * step
+            break
+        y = y_new
+        rk = rk - alpha * w
+        rho_prev, z = rho, rk / v
+        rho = rk @ z
+    return x * y, used
+
+
+def _stall_cause(a, isolated, diverged, max_iterations) -> str:
+    """Why balancing stopped short: a node that no perfect matching covers,
+    which rules out any doubly stochastic scaling, or how the run ended."""
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    a = a.copy()
+    a.eliminate_zeros()
+    unmatched = np.flatnonzero((maximum_bipartite_matching(a, perm_type="column") < 0) & ~isolated)
+    if unmatched.size:
+        return (f"node {unmatched[0]} has no partner in a perfect matching of the support, "
+                "so no doubly stochastic scaling exists")
+    if diverged:
+        return "the Newton steps diverged (a scaling left [1e-100, 1e100] or the system became singular)"
+    return f"the budget of {max_iterations} matrix-vector products ran out"
 
 
 def similarity_energy_model(
@@ -253,9 +316,11 @@ def _shared_update_matrices(compat: CompatibilityMatrix):
 def crf_step(state: ContinuousCrfState, sim: SimilarityField, cfg: CrfConfig):
     """One message-passing sweep; appends the post-step energy to the trace.
 
-    The jacobi schedule reads every neighbor from the pre-step state; the
-    gauss-seidel schedule consumes updates in node order within the sweep.
-    Nodes without neighbors relax toward their anchor alone.
+    Every node with neighbors moves to (I + C)^-1 (z_i + C sum_j s_ij x_j),
+    its exact energy minimizer given unit row sums. The jacobi schedule
+    reads every neighbor from the pre-step state; the gauss-seidel schedule
+    consumes updates in node order within the sweep. A node without
+    neighbors has no pairwise term, so it moves to its anchor z_i.
     """
     if state.observed.shape[0] != sim.num_nodes:
         raise ValueError("state and similarity field disagree on node count")
@@ -265,12 +330,18 @@ def crf_step(state: ContinuousCrfState, sim: SimilarityField, cfg: CrfConfig):
     if cfg.schedule == "jacobi":
         messages = sim.aggregate(state.latent)
         latent = (state.observed + messages @ coupling.T) @ inverse.T
+        isolated = np.flatnonzero(sim.graph.degrees == 0)
+        if isolated.size:
+            latent[isolated] = state.observed[isolated]
     else:
         latent = state.latent.copy()
         bounds, indices, vals = sim.graph.indptr.tolist(), sim.graph.indices, sim.flat_values
         for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            msg = vals[a:b] @ latent[indices[a:b]] if b > a else np.zeros(cfg.compat.dim)
-            latent[i] = inverse @ (state.observed[i] + coupling @ msg)
+            if a == b:
+                latent[i] = state.observed[i]
+            else:
+                msg = vals[a:b] @ latent[indices[a:b]]
+                latent[i] = inverse @ (state.observed[i] + coupling @ msg)
     energy = evaluate_energy(
         similarity_energy_model(sim, cfg.compat, state.observed), latent
     )
@@ -435,11 +506,14 @@ def crf_gradients(
     sim = SimilarityField(graph, _softmax_similarity(projected, graph))
 
     coupling, inverse = _shared_update_matrices(cfg.compat)
+    isolated = np.flatnonzero(graph.degrees == 0)
     trajectory = [observed.copy()]
     messages = []
     for _ in range(cfg.steps):
         agg = sim.aggregate(trajectory[-1])
         candidate = (observed + agg @ coupling.T) @ inverse.T
+        if isolated.size:
+            candidate[isolated] = observed[isolated]
         change = float(np.max(np.abs(candidate - trajectory[-1]), initial=0.0))
         if change < cfg.convergence_tol:
             break
@@ -461,6 +535,10 @@ def crf_gradients(
     for step in range(len(messages) - 1, -1, -1):
         agg = messages[step]
         previous = trajectory[step]
+        if isolated.size:
+            # isolated nodes step to their anchor, past the shared inverse
+            g_observed[isolated] += g_hidden[isolated]
+            g_hidden[isolated] = 0.0
         pre_inverse = observed + agg @ coupling.T
         g_pre = g_hidden @ inverse
         g_inverse += g_hidden.T @ pre_inverse

@@ -152,12 +152,28 @@ class TestCrfStep:
         np.testing.assert_allclose(state.latent.ravel(), [1.0, 1.0], atol=1e-15)
         assert state.steps_done == 1
 
-    def test_empty_graph_halves_toward_anchor(self):
+    def test_empty_graph_keeps_anchor(self):
         sim = SimilarityField(NeighborGraph(3, [0, 0, 0, 0], []), [])
         observed = np.array([[2.0], [-4.0], [6.0]])
-        cfg = config(CompatibilityMatrix.identity(1))
-        state = crf_step(ContinuousCrfState.from_observed(observed), sim, cfg)
-        np.testing.assert_allclose(state.latent, observed / 2.0, atol=1e-15)
+        start = ContinuousCrfState(observed=observed, latent=np.zeros((3, 1)))
+        for schedule in ("jacobi", "gauss-seidel"):
+            cfg = config(CompatibilityMatrix.identity(1), schedule=schedule)
+            state = crf_step(start, sim, cfg)
+            np.testing.assert_array_equal(state.latent, observed)
+            assert state.energy_trace == [0.0]
+
+    @pytest.mark.parametrize("schedule", ["jacobi", "gauss-seidel"])
+    def test_isolated_node_beside_a_pair_reaches_the_exact_solve(self, schedule):
+        # the pair relaxes toward its mean; the isolated node sits at its anchor
+        sim = SimilarityField(NeighborGraph(3, [0, 1, 2, 2], [1, 0]), [1.0, 1.0])
+        observed = np.array([[1.0], [2.0], [6.0]])
+        compat = CompatibilityMatrix.identity(1)
+        cfg = config(compat, steps=200, schedule=schedule)
+        state = run_crf(ContinuousCrfState.from_observed(observed), sim, cfg)
+        exact = solve_exact(similarity_energy_model(sim, compat, observed))
+        np.testing.assert_allclose(state.latent, exact, atol=1e-12)
+        assert state.latent[2, 0] == 6.0
+        assert np.all(np.diff(state.energy_trace) <= 1e-12 * np.abs(state.energy_trace[:-1]))
 
     def test_fixed_point_matches_exact_solve(self):
         sim, observed = two_node_setup()

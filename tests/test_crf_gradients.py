@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pointcrf import (
     Activation,
@@ -15,7 +17,7 @@ from pointcrf import (
     crf_gradients,
     knn_graph,
 )
-from util import random_cloud
+from util import graph_from_lists, random_cloud
 
 FD_STEP = 1e-5
 
@@ -174,3 +176,94 @@ def test_gauss_seidel_is_rejected():
     )
     with pytest.raises(UnsupportedScheduleError):
         crf_gradients(inputs, graph, unary, projection, guide, bad, upstream)
+
+
+@st.composite
+def directional_cases(draw):
+    """A layer on 1-9 nodes over a star, a graph with isolated nodes, several
+    components or a one-way support, with leaky-relu unary and readout, plus
+    one random direction through every parameter."""
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(["star", "isolated", "components", "one-way"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "star":
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[0, 1:] = adjacency[1:, 0] = True
+    elif shape == "components":
+        component = rng.integers(0, 3, size=n)
+        adjacency = component[:, None] == component[None, :]
+    elif shape == "one-way":
+        adjacency = np.triu(rng.random((n, n)) < 0.5)
+    else:
+        adjacency = rng.random((n, n)) < 0.5
+        lonely = rng.random(n) < 0.4
+        adjacency[lonely, :] = adjacency[:, lonely] = False
+    np.fill_diagonal(adjacency, False)
+    graph = graph_from_lists([rng.permutation(np.flatnonzero(row)) for row in adjacency])
+    d_in, d, d_proj = (draw(st.integers(1, 3)) for _ in range(3))
+    params = {
+        "inputs": rng.normal(size=(n, d_in)),
+        "uw": rng.normal(scale=0.5, size=(d, d_in)),
+        "ub": rng.normal(scale=0.1, size=d),
+        "pw": rng.normal(scale=0.5, size=(d_proj, d_in)),
+        "pb": rng.normal(scale=0.1, size=d_proj),
+        "factor": rng.normal(scale=0.4, size=(d, d)),
+    }
+    direction = {name: rng.normal(size=value.shape) for name, value in params.items()}
+    fixed = {
+        "graph": graph,
+        "guide": rng.normal(size=(n, d_in)),
+        "upstream": rng.normal(size=(n, d)),
+        "steps": draw(st.integers(1, 4)),
+    }
+    return params, direction, fixed
+
+
+def leaky_layer(params, fixed):
+    """(layer output, its leaky-relu pre-activations, the layer's gradients)."""
+    unary = PointwiseTransform(layers=[AffineLayer(
+        weight=params["uw"], bias=params["ub"], activation=Activation.leaky_relu(0.2)
+    )])
+    projection = PointwiseTransform(layers=[AffineLayer(weight=params["pw"], bias=params["pb"])])
+    cfg = CrfConfig(
+        compat=CompatibilityMatrix(factor=params["factor"], epsilon=1e-3),
+        steps=fixed["steps"],
+        readout=Activation.leaky_relu(0.2),
+    )
+    args = (params["inputs"], fixed["graph"], unary, projection, fixed["guide"], cfg)
+    out, state = crf_convolve(*args, return_state=True)
+    kinks = [params["inputs"] @ params["uw"].T + params["ub"], state.latent]
+    return out, kinks, crf_gradients(*args, fixed["upstream"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(directional_cases())
+def test_directional_derivative_matches_central_difference(case):
+    params, direction, fixed = case
+    out, kinks, grads = leaky_layer(params, fixed)
+    analytic = sum(float(np.sum(g * direction[name])) for name, g in (
+        ("inputs", grads.inputs), ("uw", grads.unary[0][0]), ("ub", grads.unary[0][1]),
+        ("pw", grads.projection[0][0]), ("pb", grads.projection[0][1]),
+        ("factor", grads.compat_factor),
+    ))
+
+    def shifted(t):
+        return leaky_layer({k: v + t * direction[k] for k, v in params.items()}, fixed)
+
+    # A step small enough that no leaky-relu pre-activation changes sign:
+    # rates from a trial step bound the distance to the nearest kink.
+    trial = 1e-6
+    (up, kinks_up, _), (down, kinks_down, _) = shifted(trial), shifted(-trial)
+    step = trial
+    for k0, ku, kd in zip(kinks, kinks_up, kinks_down):
+        rate = np.abs(ku - kd) / (2.0 * trial)
+        moving = rate > 0
+        if moving.any():
+            step = min(step, 0.5 * float(np.min(np.abs(k0[moving]) / rate[moving])))
+    assume(step > 1e-12)
+    if step < trial:
+        (up, _, _), (down, _, _) = shifted(step), shifted(-step)
+    numeric = float(np.sum(fixed["upstream"] * (up - down))) / (2.0 * step)
+    # cancellation in (up - down) costs about eps * |loss terms| / step
+    roundoff = 10.0 * np.finfo(float).eps * float(np.sum(np.abs(fixed["upstream"] * out))) / step
+    assert abs(numeric - analytic) <= 1e-7 * abs(analytic) + roundoff, (numeric, analytic, step)

@@ -5,13 +5,18 @@ are iterated on the symmetrized edge weights, as ``check-oracle`` does, over
 asymmetric fields on stars, graphs with isolated nodes, disconnected
 components and random one-way supports. The jacobi message-passing run is
 checked on symmetric row-stochastic fields, the inputs on which its fixed
-point is the exact minimizer, including several disconnected components.
+point is the exact minimizer, including several disconnected components and
+isolated nodes. On kNN and radius fields passed through
+``balance_similarity`` the gauss-seidel run is exact coordinate descent, so
+its energy trace must not rise.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pointcrf import (
@@ -19,9 +24,15 @@ from pointcrf import (
     ContinuousCrfState,
     CrfConfig,
     NeighborGraph,
+    PointCloud,
+    PointwiseTransform,
     SimilarityField,
+    balance_similarity,
     coordinate_descent_step,
+    knn_graph,
     mean_field_mean_step,
+    pairwise_similarity,
+    radius_graph,
     run_crf,
     similarity_energy_model,
     solve_exact,
@@ -83,11 +94,17 @@ def test_per_node_routes_reach_the_exact_solve(step, case, d):
 
 @st.composite
 def symmetric_fields(draw):
-    """(field, rng): 1-3 disconnected symmetric stochastic components of 2-10 nodes."""
+    """(field, rng): 1-3 disconnected symmetric stochastic components of 2-10
+    nodes and 0-3 isolated nodes, in shuffled node order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(2, 10), min_size=1, max_size=3))
-    blocks = [symmetric_stochastic_field(rng, n, draw(st.integers(1, 3))) for n in sizes]
-    s = sp.block_diag([block.graph.operator for block in blocks], format="csr")
+    blocks = [symmetric_stochastic_field(rng, n, draw(st.integers(1, 3))).graph.operator
+              for n in sizes]
+    isolated = draw(st.integers(0, 3))
+    s = sp.block_diag(blocks + [sp.csr_matrix((isolated, isolated))], format="csr")
+    order = rng.permutation(s.shape[0])
+    s = s[order][:, order]
+    s.sort_indices()
     return SimilarityField(NeighborGraph(s.shape[0], s.indptr, s.indices), s.data), rng
 
 
@@ -104,3 +121,39 @@ def test_jacobi_run_reaches_the_exact_solve(case, d):
     assert state.steps_done < SWEEPS
     exact = solve_exact(similarity_energy_model(sim, compat, observed))
     assert relative_gap(state.latent, exact) <= TOL
+
+
+@st.composite
+def balanced_fields(draw):
+    """(field, rng): kNN or radius softmax fields on 1-40 points in 1-3
+    far-apart clusters, balanced. Radius graphs leave isolated nodes, and
+    both kinds split into components. Supports that admit no doubly
+    stochastic scaling (stars) stall and carry no descent guarantee, so
+    they are filtered out."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    centers = 100.0 * rng.normal(size=(draw(st.integers(1, 3)), 3))
+    positions = centers[rng.integers(0, len(centers), size=n)] + rng.normal(size=(n, 3))
+    cloud = PointCloud(positions, rng.normal(size=(n, 2)))
+    if draw(st.booleans()):
+        graph = knn_graph(cloud, draw(st.integers(1, n + 1)))
+    else:
+        graph = radius_graph(cloud, draw(st.floats(0.5, 3.0)))
+    sim = pairwise_similarity(cloud.features, graph, PointwiseTransform.identity())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        balanced = balance_similarity(sim)
+    assume(not caught)
+    return balanced, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(balanced_fields(), st.integers(1, 4))
+def test_gauss_seidel_trace_descends_on_balanced_fields(case, d):
+    sim, rng = case
+    cfg = CrfConfig(
+        compat=random_pd_compat(rng, d), steps=8, schedule="gauss-seidel", readout=Activation()
+    )
+    start = ContinuousCrfState.from_observed(rng.normal(size=(sim.num_nodes, d)))
+    trace = np.array(run_crf(start, sim, cfg).energy_trace)
+    assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1])), trace

@@ -242,8 +242,8 @@ def reference_interpolate(coarse, fine_positions, k):
 
 
 # ---------------------------------------------------------------------------
-# Dense Sinkhorn balancing: the N x N loop balance_similarity ran before it
-# moved to two scaling vectors on the sparse support, kept as its oracle.
+# Dense Sinkhorn balancing: the N x N loop balance_similarity ran before its
+# sparse and then Newton rewrites, kept as its oracle where it converges.
 # ---------------------------------------------------------------------------
 
 def reference_balance(sim, max_iterations=5000, tol=1e-13):
