@@ -39,6 +39,7 @@ from .crf_discrete import (
     KernelMixture,
     LabelCompatibility,
     discrete_crf_infer,
+    read_matrix_csv,
     read_probabilities,
     write_probabilities,
 )
@@ -231,18 +232,6 @@ def _load_transform(path: str | None) -> PointwiseTransform:
         raise ConfigError(str(exc))
 
 
-def _read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(v) for v in line.split(",")])
-        except ValueError:
-            raise ConfigError(f"{path}: line {lineno}: non-numeric entry")
-    return np.array(rows, dtype=np.float64)
-
-
 def _compat_for(cfg: RunConfig, dim: int) -> CompatibilityMatrix:
     choice = cfg.crf.compat
     if choice == "identity":
@@ -250,9 +239,11 @@ def _compat_for(cfg: RunConfig, dim: int) -> CompatibilityMatrix:
     if choice == "scaled-identity":
         return CompatibilityMatrix(factor=np.eye(dim), epsilon=cfg.crf.epsilon)
     try:
-        factor = _read_matrix_csv(choice)
+        factor = read_matrix_csv(choice)
     except FileNotFoundError:
         raise ConfigError(f"compat factor file not found: {choice}")
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if factor.shape != (dim, dim):
         raise ConfigError(
             f"compat factor {choice} has shape {factor.shape}, expected ({dim}, {dim})"

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .cloud import NeighborGraph, PointCloud, knn_graph, knn_interpolate, segment_reduce
-from .energy import CompatibilityMatrix, QuadraticEnergyModel, evaluate_energy
+from .energy import CompatibilityMatrix, QuadraticEnergyModel, channel_basis, evaluate_energy
 from .transform import Activation, PointwiseTransform
 
 __all__ = [
@@ -89,11 +90,10 @@ class SimilarityField:
 
 @dataclass
 class ContinuousCrfState:
-    """Observed anchors, latent means, optional per-node covariances, trace."""
+    """Observed anchors, latent means, steps applied and the energy trace."""
 
     observed: np.ndarray
     latent: np.ndarray
-    covariances: np.ndarray | None = None
     steps_done: int = 0
     energy_trace: list = field(default_factory=list)
 
@@ -107,15 +107,6 @@ class ContinuousCrfState:
             )
         if not (np.all(np.isfinite(self.observed)) and np.all(np.isfinite(self.latent))):
             raise ValueError("state arrays must be finite")
-        if self.covariances is not None:
-            self.covariances = np.asarray(self.covariances, dtype=np.float64)
-            n, d = self.observed.shape
-            if self.covariances.shape != (n, d, d):
-                raise ValueError(f"covariances must have shape ({n}, {d}, {d})")
-            if not np.allclose(self.covariances, np.swapaxes(self.covariances, 1, 2)):
-                raise ValueError("covariances must be symmetric")
-            if np.any(np.linalg.eigvalsh(self.covariances) <= 0):
-                raise ValueError("covariances must be positive definite")
 
     @classmethod
     def from_observed(cls, observed: np.ndarray) -> "ContinuousCrfState":
@@ -321,27 +312,35 @@ def crf_step(state: ContinuousCrfState, sim: SimilarityField, cfg: CrfConfig):
     reads every neighbor from the pre-step state; the gauss-seidel schedule
     consumes updates in node order within the sweep. A node without
     neighbors has no pairwise term, so it moves to its anchor z_i.
+
+    Gauss-seidel sweeps each channel of x' = x Q, C = Q diag(lambda) Q^T, by
+    one triangular solve (I - a_c tril(S)) x'_c = z'_c / (1 + lambda_c) +
+    a_c triu(S) x_old'_c, a_c = lambda_c / (1 + lambda_c), rhs z'_i on rows
+    without neighbors.
     """
     if state.observed.shape[0] != sim.num_nodes:
         raise ValueError("state and similarity field disagree on node count")
     if state.observed.shape[1] != cfg.compat.dim:
         raise ValueError("feature width does not match the compatibility dimension")
-    coupling, inverse = _shared_update_matrices(cfg.compat)
+    isolated = sim.graph.degrees == 0
     if cfg.schedule == "jacobi":
-        messages = sim.aggregate(state.latent)
-        latent = (state.observed + messages @ coupling.T) @ inverse.T
-        isolated = np.flatnonzero(sim.graph.degrees == 0)
-        if isolated.size:
-            latent[isolated] = state.observed[isolated]
+        coupling, inverse = _shared_update_matrices(cfg.compat)
+        latent = (state.observed + sim.aggregate(state.latent) @ coupling.T) @ inverse.T
     else:
-        latent = state.latent.copy()
-        bounds, indices, vals = sim.graph.indptr.tolist(), sim.graph.indices, sim.flat_values
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            if a == b:
-                latent[i] = state.observed[i]
-            else:
-                msg = vals[a:b] @ latent[indices[a:b]]
-                latent[i] = inverse @ (state.observed[i] + coupling @ msg)
+        eigenvalues, basis = channel_basis(cfg.compat)
+        s = sim.graph.operator
+        lower, upper = sp.tril(s, format="csr"), sp.triu(s, format="csr")
+        identity = sp.identity(sim.num_nodes, format="csr")
+        anchor, previous = state.observed @ basis, state.latent @ basis
+        rotated = np.empty_like(anchor)
+        for c, lam in enumerate(eigenvalues):
+            a = lam / (1.0 + lam)
+            rhs = np.where(isolated, anchor[:, c], anchor[:, c] / (1.0 + lam))
+            rhs += a * (upper @ previous[:, c])
+            rotated[:, c] = spla.spsolve_triangular(identity - a * lower, rhs, unit_diagonal=True)
+        latent = rotated @ basis.T
+    # nodes without neighbors take their anchor exactly, not up to Q Q^T rounding
+    latent[isolated] = state.observed[isolated]
     energy = evaluate_energy(
         similarity_energy_model(sim, cfg.compat, state.observed), latent
     )

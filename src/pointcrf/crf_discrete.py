@@ -160,20 +160,27 @@ class LabelCompatibility:
 
     @classmethod
     def load(cls, path) -> "LabelCompatibility":
-        rows = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
-        matrix = np.array(rows, dtype=np.float64)
-        return cls(matrix=matrix)
+        return cls(matrix=read_matrix_csv(path))
 
     def save(self, path) -> None:
         lines = [",".join(repr(float(v)) for v in row) for row in self.matrix]
         Path(path).write_text("".join(line + "\n" for line in lines))
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    """Comma-separated matrix, one row per non-blank line; a non-numeric entry
+    or a row of another length than the first is a ValueError naming the line."""
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(rows[-1])}")
+    return np.array(rows, dtype=np.float64)
 
 
 def kernel_weights(

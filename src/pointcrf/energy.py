@@ -1,9 +1,10 @@
 """Quadratic feature energy: evaluation, exact minimizer, Dirichlet energy.
 
 The energy couples a per-node fidelity term with a per-edge smoothness term
-whose d x d coupling is a shared positive-definite matrix scaled by per-edge
-similarities. The exact minimizer, found by conjugate gradients run to
-round-off, doubles as the oracle for the iterative message-passing solvers.
+whose d x d coupling is a shared positive-definite matrix C scaled by
+per-edge similarities. In the eigenbasis of C the channels decouple, and the
+exact minimizer, found there by one conjugate-gradient run per channel,
+doubles as the oracle for the iterative message-passing solvers.
 """
 
 import warnings
@@ -129,41 +130,39 @@ def evaluate_energy(model: QuadraticEnergyModel, latent: np.ndarray) -> float:
     return total
 
 
-def _system_operator(model: QuadraticEnergyModel):
-    """The SPD matrix M with gradient(evaluate_energy)(X) = 2 (M X - Z).
-
-    M = I + kron(L, C) where L is the graph Laplacian of the symmetrized
-    similarities; using the symmetrized edge set keeps the oracle consistent
-    with the energy even for asymmetric input similarities.
-    """
-    s_sym = model.symmetrized_similarity()
-    deg = np.asarray(s_sym.sum(axis=1)).ravel()
-    laplacian = sp.diags(deg) - s_sym
-    n, d = model.num_nodes, model.dim
-    system = sp.kron(laplacian, sp.csr_matrix(model.compat.matrix), format="csr")
-    return system + sp.identity(n * d, format="csr")
+def channel_basis(compat: CompatibilityMatrix):
+    """Eigenvalues lambda_c and orthonormal eigenvectors Q of C = Q diag(lambda) Q^T."""
+    return np.linalg.eigh(compat.matrix)
 
 
 def solve_exact(model: QuadraticEnergyModel) -> np.ndarray:
-    """Exact minimizer of the energy, by conjugate gradients run to round-off.
+    """Exact minimizer X + L X C = Z of the energy, L the Laplacian of the
+    symmetrized similarities (consistent with asymmetric input similarities).
 
-    CG stops once its residual falls to 1e-14 of the right-hand side's norm.
-    Raises SolveError if it does not get there, or if the true residual
-    exceeds 1e-8 * (1 + max|observed|); the system is positive definite by
-    construction, so this only trips on solver breakdown.
+    Each channel of X Q solves (I + lambda_c L) x'_c = z'_c by conjugate
+    gradients, stopped once the residual falls to 1e-14 of the right-hand
+    side's norm. Raises SolveError if a run does not get there, or if the
+    residual of X + L X C - Z exceeds 1e-8 * (1 + max|observed|); the
+    systems are positive definite, so this only trips on solver breakdown.
     """
-    if model.observed.size == 0:
-        return model.observed.copy()
-    system = _system_operator(model)
-    rhs = model.observed.ravel()
-    bound = RESIDUAL_BOUND * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
-    solution, info = spla.cg(system, rhs, rtol=1e-14, atol=0.0, maxiter=50 * rhs.size)
-    if info != 0:
-        raise SolveError(f"conjugate gradient did not converge (info={info})")
-    residual = float(np.max(np.abs(system @ solution - rhs), initial=0.0))
+    s_sym = model.symmetrized_similarity()
+    laplacian = sp.diags(np.asarray(s_sym.sum(axis=1)).ravel()) - s_sym
+    identity = sp.identity(model.num_nodes, format="csr")
+    eigenvalues, basis = channel_basis(model.compat)
+    rotated = model.observed @ basis
+    for c, lam in enumerate(eigenvalues):
+        rotated[:, c], info = spla.cg(identity + lam * laplacian, rotated[:, c], rtol=1e-14,
+                                      atol=0.0, maxiter=50 * model.num_nodes)
+        if info != 0:
+            raise SolveError(f"conjugate gradient did not converge on channel {c} (info={info})")
+    solution = rotated @ basis.T
+    # checked in the original basis, so a wrong eigenbasis cannot pass
+    residual = solution + (laplacian @ solution) @ model.compat.matrix - model.observed
+    residual = float(np.max(np.abs(residual), initial=0.0))
+    bound = RESIDUAL_BOUND * (1.0 + float(np.max(np.abs(model.observed), initial=0.0)))
     if residual > bound:
         raise SolveError(f"solver residual {residual:.3e} exceeds bound {bound:.3e}")
-    return solution.reshape(model.observed.shape)
+    return solution
 
 
 def dirichlet_energy(graph: NeighborGraph, signal: np.ndarray) -> float:

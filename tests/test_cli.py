@@ -274,6 +274,22 @@ class TestInputFiles:
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"{truncated}: truncated at layer 0" in result.output
 
+    @pytest.mark.parametrize("command, section", [("smooth", "crf"), ("refine-labels", "discrete")])
+    def test_ragged_compat_file_is_a_config_error_naming_the_line(
+        self, runner, tmp_path, command, section
+    ):
+        make_cloud(tmp_path, n=4)
+        write_probabilities(tmp_path / "probs.csv", np.full((4, 2), 0.5))
+        ragged = tmp_path / "compat.csv"
+        ragged.write_text("1,0\n0\n")
+        overrides = {"discrete": {"probabilities": str(tmp_path / "probs.csv")}}
+        overrides.setdefault(section, {})["compat"] = str(ragged)
+        config = write_config(tmp_path / "config.json", **overrides)
+        result = runner.invoke(main, [command, "--config", str(config)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"{ragged}: line 2: expected 2 columns, got 1" in result.output
+
     def test_missing_compat_factor_file_is_a_config_error(self, runner, tmp_path):
         make_cloud(tmp_path)
         config = write_config(tmp_path / "config.json", crf={"compat": "identiy"})

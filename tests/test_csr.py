@@ -3,21 +3,26 @@ kernel checked against the per-node loop it replaced (references in ``util``).""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointcrf import (
+    ContinuousCrfState,
+    CrfConfig,
     LabelCompatibility,
     LabelField,
     NeighborGraph,
     PointwiseTransform,
+    QuadraticEnergyModel,
     SimilarityField,
     coordinate_descent_step,
+    crf_step,
     diffusion_step,
     dirichlet_energy,
     discrete_crf_step,
     mean_field_mean_step,
     pairwise_similarity,
+    solve_exact,
 )
 from pointcrf.cloud import segment_reduce
 from util import (
@@ -29,8 +34,11 @@ from util import (
     reference_diffusion_step,
     reference_dirichlet,
     reference_discrete_step,
+    reference_gauss_seidel_step,
     reference_max_asymmetry,
     reference_similarity,
+    reference_solve,
+    reference_system,
 )
 
 RTOL = 1e-13
@@ -140,6 +148,49 @@ def test_anchored_steps_match_per_node_loop(step, case):
     assert_close_to_scale(
         step(observed, latent, graph, weights, compat),
         reference_anchored_step(observed, latent, graph, weights, compat.matrix),
+    )
+
+
+# the eigenbasis solvers against the original-basis loop and the Kronecker
+# system; 10 is the ill-conditioned factor scale (system condition up to 5e4)
+EIGENBASIS_RTOL = 1e-12
+NO_NODES = (NeighborGraph(0, [0], []), np.random.default_rng(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases(), st.integers(1, 4), st.sampled_from([0.5, 10.0]))
+@example(NO_NODES, 2, 0.5)
+def test_gauss_seidel_step_matches_per_node_sweep(case, d, scale):
+    graph, rng = case
+    sim = asymmetric_field(graph, rng)
+    compat = random_pd_compat(rng, d, scale=scale)
+    observed, latent = rng.normal(size=(2, graph.num_nodes, d))
+    cfg = CrfConfig(compat=compat, schedule="gauss-seidel")
+    got = crf_step(ContinuousCrfState(observed, latent), sim, cfg).latent
+    want = reference_gauss_seidel_step(observed, latent, sim, compat)
+    np.testing.assert_allclose(
+        got, want, rtol=EIGENBASIS_RTOL, atol=EIGENBASIS_RTOL * np.abs(want).max(initial=0.0)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases(), st.integers(1, 4), st.sampled_from([0.5, 10.0]))
+@example(NO_NODES, 2, 0.5)
+def test_solve_exact_matches_kronecker_system(case, d, scale):
+    graph, rng = case
+    model = QuadraticEnergyModel(
+        graph=graph.with_weights(edge_weights(graph, rng)),
+        compat=random_pd_compat(rng, d, scale=scale),
+        observed=rng.normal(size=(graph.num_nodes, d)),
+    )
+    want = reference_solve(model)
+    # both routes are backward stable, so they may differ by a few eps * cond;
+    # the scale-10 factor reaches cond 5e4, where that exceeds 1e-12
+    system = reference_system(model).toarray()
+    cond = np.linalg.cond(system) if system.size else 1.0
+    rtol = max(EIGENBASIS_RTOL, 4 * np.finfo(np.float64).eps * cond)
+    np.testing.assert_allclose(
+        solve_exact(model), want, rtol=rtol, atol=rtol * np.abs(want).max(initial=0.0)
     )
 
 

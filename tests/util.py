@@ -13,7 +13,6 @@ from pointcrf import (
     SimilarityField,
 )
 from pointcrf.cloud import COINCIDENT_DISTANCE
-from pointcrf.energy import _system_operator
 
 
 def graph_from_lists(neighbors, weights=None) -> NeighborGraph:
@@ -283,11 +282,48 @@ def reference_balance(sim, max_iterations=5000, tol=1e-13):
 
 
 # ---------------------------------------------------------------------------
-# Sparse direct solve: the factorization solve_exact used for small systems
-# before it kept only conjugate gradients, kept as its oracle.
+# Assembled exact system and sparse direct solve: the Kronecker system and
+# the factorization solve_exact used before it split the channels in the
+# eigenbasis of C, kept as its oracle.
 # ---------------------------------------------------------------------------
+
+def reference_system(model):
+    """The SPD matrix M with gradient(evaluate_energy)(X) = 2 (M X - Z).
+
+    M = I + kron(L, C) where L is the graph Laplacian of the symmetrized
+    similarities; using the symmetrized edge set keeps the oracle consistent
+    with the energy even for asymmetric input similarities.
+    """
+    s_sym = model.symmetrized_similarity()
+    deg = np.asarray(s_sym.sum(axis=1)).ravel()
+    laplacian = sp.diags(deg) - s_sym
+    n, d = model.num_nodes, model.dim
+    system = sp.kron(laplacian, sp.csr_matrix(model.compat.matrix), format="csr")
+    return system + sp.identity(n * d, format="csr")
+
 
 def reference_solve(model):
     """Exact minimizer by a sparse LU factorization of the assembled system."""
     rhs = model.observed.ravel()
-    return spla.spsolve(_system_operator(model).tocsc(), rhs).reshape(model.observed.shape)
+    return spla.spsolve(reference_system(model).tocsc(), rhs).reshape(model.observed.shape)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-seidel sweep: the per-row loop crf_step ran before its triangular
+# solves in the eigenbasis of C, kept as its oracle.
+# ---------------------------------------------------------------------------
+
+def reference_gauss_seidel_step(observed, latent, sim, compat):
+    """Latent state after one in-order sweep of (I + C)^-1 (z_i + C sum_j s_ij x_j);
+    nodes without neighbors take their anchor z_i."""
+    coupling = compat.matrix
+    inverse = np.linalg.inv(np.eye(compat.dim) + coupling)
+    latent = latent.copy()
+    bounds, indices, vals = sim.graph.indptr.tolist(), sim.graph.indices, sim.flat_values
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a == b:
+            latent[i] = observed[i]
+        else:
+            msg = vals[a:b] @ latent[indices[a:b]]
+            latent[i] = inverse @ (observed[i] + coupling @ msg)
+    return latent
