@@ -147,13 +147,18 @@ def pairwise_similarity(
     distances are plain Euclidean. Softmax rows are computed with
     max-subtraction so large distances cannot underflow the normalizer.
     """
+    projected = projection.apply(_guide_array(features, graph))
+    return SimilarityField(graph, _softmax_similarity(projected, graph))
+
+
+def _guide_array(features, graph: NeighborGraph) -> np.ndarray:
+    """Guide features as a float array with one row per graph node."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != graph.num_nodes:
         raise ValueError(
             f"features must have shape ({graph.num_nodes}, d'), got {features.shape}"
         )
-    projected = projection.apply(features)
-    return SimilarityField(graph, _softmax_similarity(projected, graph))
+    return features
 
 
 def _softmax_similarity(projected: np.ndarray, graph: NeighborGraph) -> np.ndarray:
@@ -300,8 +305,66 @@ def similarity_energy_model(
     )
 
 
-def _shared_update_matrices(compat: CompatibilityMatrix):
-    return compat.matrix, np.linalg.inv(np.eye(compat.dim) + compat.matrix)
+def _prepare_sweep(sim: SimilarityField, compat: CompatibilityMatrix, schedule: str, observed):
+    """The ``crf_step`` update of one run as a function latent -> next latent.
+
+    All that does not depend on the latent state is built once. Gauss-seidel
+    sweeps each channel of x' = x Q, C = Q diag(lambda) Q^T, by one
+    triangular solve (I - a_c tril(S)) x'_c = z'_c / (1 + lambda_c) +
+    a_c triu(S) x_old'_c, a_c = lambda_c / (1 + lambda_c), rhs z'_i on rows
+    without neighbors; those rows then take z_i exactly, not up to Q Q^T
+    rounding.
+    """
+    if observed.shape != (sim.num_nodes, compat.dim):
+        raise ValueError(f"anchor features have shape {observed.shape}; this field and "
+                         f"compatibility matrix need ({sim.num_nodes}, {compat.dim})")
+    isolated = sim.graph.degrees == 0
+    s = sim.graph.operator
+    if schedule == "jacobi":
+        coupling = compat.matrix
+        inverse = np.linalg.inv(np.eye(compat.dim) + coupling)
+
+        def update(latent):
+            return (observed + (s @ latent) @ coupling.T) @ inverse.T
+    else:
+        eigenvalues, basis = channel_basis(compat)
+        lower, upper = sp.tril(s, format="csr"), sp.triu(s, format="csr")
+        identity = sp.identity(sim.num_nodes, format="csr")
+        anchor = observed @ basis
+        channels = []
+        for c, lam in enumerate(eigenvalues):
+            a = lam / (1.0 + lam)
+            rhs = np.where(isolated, anchor[:, c], anchor[:, c] / (1.0 + lam))
+            channels.append((a, identity - a * lower, rhs))
+
+        def update(latent):
+            previous = latent @ basis
+            rotated = np.empty_like(anchor)
+            for c, (a, system, rhs) in enumerate(channels):
+                rhs = rhs + a * (upper @ previous[:, c])
+                rotated[:, c] = spla.spsolve_triangular(system, rhs, unit_diagonal=True)
+            return rotated @ basis.T
+
+    def sweep(latent):
+        latent = update(latent)
+        latent[isolated] = observed[isolated]
+        return latent
+
+    return sweep
+
+
+def _accepted_states(sweep, latent: np.ndarray, steps: int, tol: float):
+    """Yield the state after each of up to ``steps`` sweeps from ``latent``.
+
+    An update that changes no coordinate by at least ``tol`` is discarded
+    and ends the run, so an infinite tolerance yields nothing.
+    """
+    for _ in range(steps):
+        candidate = sweep(latent)
+        if float(np.max(np.abs(candidate - latent), initial=0.0)) < tol:
+            return
+        latent = candidate
+        yield latent
 
 
 def crf_step(state: ContinuousCrfState, sim: SimilarityField, cfg: CrfConfig):
@@ -312,65 +375,30 @@ def crf_step(state: ContinuousCrfState, sim: SimilarityField, cfg: CrfConfig):
     reads every neighbor from the pre-step state; the gauss-seidel schedule
     consumes updates in node order within the sweep. A node without
     neighbors has no pairwise term, so it moves to its anchor z_i.
-
-    Gauss-seidel sweeps each channel of x' = x Q, C = Q diag(lambda) Q^T, by
-    one triangular solve (I - a_c tril(S)) x'_c = z'_c / (1 + lambda_c) +
-    a_c triu(S) x_old'_c, a_c = lambda_c / (1 + lambda_c), rhs z'_i on rows
-    without neighbors.
     """
-    if state.observed.shape[0] != sim.num_nodes:
-        raise ValueError("state and similarity field disagree on node count")
-    if state.observed.shape[1] != cfg.compat.dim:
-        raise ValueError("feature width does not match the compatibility dimension")
-    isolated = sim.graph.degrees == 0
-    if cfg.schedule == "jacobi":
-        coupling, inverse = _shared_update_matrices(cfg.compat)
-        latent = (state.observed + sim.aggregate(state.latent) @ coupling.T) @ inverse.T
-    else:
-        eigenvalues, basis = channel_basis(cfg.compat)
-        s = sim.graph.operator
-        lower, upper = sp.tril(s, format="csr"), sp.triu(s, format="csr")
-        identity = sp.identity(sim.num_nodes, format="csr")
-        anchor, previous = state.observed @ basis, state.latent @ basis
-        rotated = np.empty_like(anchor)
-        for c, lam in enumerate(eigenvalues):
-            a = lam / (1.0 + lam)
-            rhs = np.where(isolated, anchor[:, c], anchor[:, c] / (1.0 + lam))
-            rhs += a * (upper @ previous[:, c])
-            rotated[:, c] = spla.spsolve_triangular(identity - a * lower, rhs, unit_diagonal=True)
-        latent = rotated @ basis.T
-    # nodes without neighbors take their anchor exactly, not up to Q Q^T rounding
-    latent[isolated] = state.observed[isolated]
-    energy = evaluate_energy(
-        similarity_energy_model(sim, cfg.compat, state.observed), latent
-    )
-    return replace(
-        state,
-        latent=latent,
-        steps_done=state.steps_done + 1,
-        energy_trace=state.energy_trace + [energy],
-    )
+    latent = _prepare_sweep(sim, cfg.compat, cfg.schedule, state.observed)(state.latent)
+    energy = evaluate_energy(similarity_energy_model(sim, cfg.compat, state.observed), latent)
+    return replace(state, latent=latent, steps_done=state.steps_done + 1,
+                   energy_trace=state.energy_trace + [energy])
 
 
 def run_crf(state: ContinuousCrfState, sim: SimilarityField, cfg: CrfConfig):
-    """Run up to cfg.steps sweeps with the config's early-stopping rule.
+    """Run up to cfg.steps ``crf_step`` sweeps with the config's early stop.
 
-    An update that changes no coordinate by at least ``convergence_tol`` is
-    discarded and the run stops, so an infinite tolerance runs zero steps.
-    The initial energy is prepended to the trace when it is empty.
+    The sweep and the energy model are prepared once, and the result equals
+    the same number of chained ``crf_step`` calls. An update that changes
+    no coordinate by at least ``convergence_tol`` is discarded and the run
+    stops, so an infinite tolerance runs zero steps. The initial energy is
+    prepended to the trace when it is empty.
     """
-    if not state.energy_trace:
-        initial = evaluate_energy(
-            similarity_energy_model(sim, cfg.compat, state.observed), state.latent
-        )
-        state = replace(state, energy_trace=[initial])
-    for _ in range(cfg.steps):
-        candidate = crf_step(state, sim, cfg)
-        change = float(np.max(np.abs(candidate.latent - state.latent), initial=0.0))
-        if change < cfg.convergence_tol:
-            return state
-        state = candidate
-    return state
+    sweep = _prepare_sweep(sim, cfg.compat, cfg.schedule, state.observed)
+    model = similarity_energy_model(sim, cfg.compat, state.observed)
+    trace = list(state.energy_trace) or [evaluate_energy(model, state.latent)]
+    latent, steps = state.latent, state.steps_done
+    for latent in _accepted_states(sweep, latent, cfg.steps, cfg.convergence_tol):
+        trace.append(evaluate_energy(model, latent))
+        steps += 1
+    return replace(state, latent=latent, steps_done=steps, energy_trace=trace)
 
 
 def crf_convolve(
@@ -388,13 +416,7 @@ def crf_convolve(
     at the same resolution); ``inputs`` pass through the unary transform to
     become both the anchor and the initial latent state.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
     observed = unary.apply(inputs)
-    if observed.shape[1] != cfg.compat.dim:
-        raise ValueError(
-            f"unary output width {observed.shape[1]} does not match "
-            f"compatibility dimension {cfg.compat.dim}"
-        )
     sim = pairwise_similarity(guide_features, graph, projection)
     state = run_crf(ContinuousCrfState.from_observed(observed), sim, cfg)
     out = cfg.readout.apply(state.latent)
@@ -486,44 +508,35 @@ def crf_gradients(
     """Reverse-mode gradients through the unrolled jacobi iteration.
 
     Returns cotangents for the layer inputs, the unary and projection layer
-    parameters, and the compatibility factor. The realized number of applied
-    steps is treated as fixed; the gauss-seidel schedule is not supported.
+    parameters, and the compatibility factor. The forward pass takes the
+    states ``run_crf`` accepts, with the same early stop, so the result
+    equals the gradient of exactly that many steps with tolerance 0: the
+    realized number of applied steps is treated as fixed. Nodes without
+    neighbors stay at their anchor, so their cotangent passes straight to
+    the unary output. The backward pass recomputes each S x_t instead of
+    storing it. The gauss-seidel schedule is not supported.
     """
     if cfg.schedule != "jacobi":
         raise UnsupportedScheduleError(
             "crf_gradients supports only the jacobi schedule"
         )
-    inputs = np.asarray(inputs, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
 
     # Forward pass, mirroring crf_convolve but keeping every intermediate.
     observed, unary_trace = unary.apply_with_trace(inputs)
-    if observed.shape[1] != cfg.compat.dim:
-        raise ValueError("unary output width does not match the compatibility dimension")
-    guide = np.asarray(guide_features, dtype=np.float64)
-    projected, proj_trace = projection.apply_with_trace(guide)
+    projected, proj_trace = projection.apply_with_trace(_guide_array(guide_features, graph))
     sim = SimilarityField(graph, _softmax_similarity(projected, graph))
-
-    coupling, inverse = _shared_update_matrices(cfg.compat)
-    isolated = np.flatnonzero(graph.degrees == 0)
-    trajectory = [observed.copy()]
-    messages = []
-    for _ in range(cfg.steps):
-        agg = sim.aggregate(trajectory[-1])
-        candidate = (observed + agg @ coupling.T) @ inverse.T
-        if isolated.size:
-            candidate[isolated] = observed[isolated]
-        change = float(np.max(np.abs(candidate - trajectory[-1]), initial=0.0))
-        if change < cfg.convergence_tol:
-            break
-        messages.append(agg)
-        trajectory.append(candidate)
+    sweep = _prepare_sweep(sim, cfg.compat, "jacobi", observed)
+    trajectory = [observed, *_accepted_states(sweep, observed, cfg.steps, cfg.convergence_tol)]
     final = trajectory[-1]
 
     if upstream.shape != final.shape:
         raise ValueError(f"upstream cotangent must have shape {final.shape}")
 
     # Backward pass.
+    coupling = cfg.compat.matrix
+    inverse = np.linalg.inv(np.eye(cfg.compat.dim) + coupling)
+    isolated = np.flatnonzero(graph.degrees == 0)
     g_hidden = upstream * cfg.readout.derivative(final)
     g_observed = np.zeros_like(observed)
     g_coupling = np.zeros_like(coupling)
@@ -531,13 +544,11 @@ def crf_gradients(
     g_edge_values = np.zeros_like(sim.flat_values)
     src, dst = graph.edge_src, graph.indices
     transposed = sim.graph.operator.T
-    for step in range(len(messages) - 1, -1, -1):
-        agg = messages[step]
-        previous = trajectory[step]
-        if isolated.size:
-            # isolated nodes step to their anchor, past the shared inverse
-            g_observed[isolated] += g_hidden[isolated]
-            g_hidden[isolated] = 0.0
+    for previous in reversed(trajectory[:-1]):
+        agg = sim.aggregate(previous)
+        # isolated nodes step to their anchor, past the shared inverse
+        g_observed[isolated] += g_hidden[isolated]
+        g_hidden[isolated] = 0.0
         pre_inverse = observed + agg @ coupling.T
         g_pre = g_hidden @ inverse
         g_inverse += g_hidden.T @ pre_inverse

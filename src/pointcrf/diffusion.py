@@ -11,13 +11,7 @@ import numpy as np
 
 from .cloud import NeighborGraph, segment_reduce
 from .energy import CompatibilityMatrix, dirichlet_energy
-from .crf_continuous import (
-    ContinuousCrfState,
-    CrfConfig,
-    SimilarityField,
-    crf_step,
-)
-from .transform import Activation
+from .crf_continuous import SimilarityField, _prepare_sweep
 
 __all__ = [
     "ConvergenceError",
@@ -137,27 +131,22 @@ def compare_crf_vs_diffusion(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     observed = np.asarray(observed, dtype=np.float64)
-    cfg = CrfConfig(
-        compat=CompatibilityMatrix.identity(observed.shape[1]),
-        steps=1,
-        schedule="jacobi",
-        convergence_tol=0.0,
-        readout=Activation(),
-    )
-    state = ContinuousCrfState.from_observed(observed)
-    heat = observed.copy()
+    if observed.ndim != 2 or not np.all(np.isfinite(observed)):
+        raise ValueError(f"observed must be a finite (N, d) array, got shape {observed.shape}")
+    sweep = _prepare_sweep(sim, CompatibilityMatrix.identity(observed.shape[1]), "jacobi", observed)
+    crf = heat = observed
     rows = []
     step_one = 0.0
     for step in range(1, steps + 1):
-        state = crf_step(state, sim, cfg)
+        crf = sweep(crf)
         heat = diffusion_step(heat, sim.graph, 0.5)
         if step == 1:
-            step_one = float(np.max(np.abs(state.latent - heat), initial=0.0))
+            step_one = float(np.max(np.abs(crf - heat), initial=0.0))
         rows.append(
             ComparisonRow(
                 step=step,
-                crf_fidelity=float(np.linalg.norm(state.latent - observed)),
-                crf_dirichlet=multichannel_dirichlet(sim.graph, state.latent),
+                crf_fidelity=float(np.linalg.norm(crf - observed)),
+                crf_dirichlet=multichannel_dirichlet(sim.graph, crf),
                 diffusion_fidelity=float(np.linalg.norm(heat - observed)),
                 diffusion_dirichlet=multichannel_dirichlet(sim.graph, heat),
             )

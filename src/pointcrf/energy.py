@@ -66,10 +66,6 @@ class CompatibilityMatrix:
     def identity(cls, dim: int) -> "CompatibilityMatrix":
         return cls(factor=np.eye(dim), epsilon=0.0)
 
-    @classmethod
-    def from_factor(cls, factor: np.ndarray, epsilon: float = DEFAULT_EPSILON):
-        return cls(factor=factor, epsilon=epsilon)
-
 
 @dataclass
 class QuadraticEnergyModel:

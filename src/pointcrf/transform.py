@@ -119,18 +119,15 @@ class PointwiseTransform:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply the chain to an (N, in_dim) array of per-point features."""
+        return self.apply_with_trace(x)[0]
+
+    def apply_with_trace(self, x: np.ndarray):
+        """Apply the chain, returning (output, per-layer (input, preactivation))."""
         x = np.asarray(x, dtype=np.float64)
         if self.layers and x.shape[-1] != self.layers[0].in_dim:
             raise ValueError(
                 f"transform expects width {self.layers[0].in_dim}, got {x.shape[-1]}"
             )
-        for layer in self.layers:
-            x = layer.activation.apply(x @ layer.weight.T + layer.bias)
-        return x
-
-    def apply_with_trace(self, x: np.ndarray):
-        """Apply the chain, returning (output, per-layer (input, preactivation))."""
-        x = np.asarray(x, dtype=np.float64)
         trace = []
         for layer in self.layers:
             pre = x @ layer.weight.T + layer.bias

@@ -25,10 +25,12 @@ from pointcrf import (
     crf_convolve,
     crf_step,
     decode_level,
+    evaluate_energy,
     knn_interpolate,
     mean_field_covariance,
     mean_field_mean_step,
     pairwise_similarity,
+    radius_graph,
     run_crf,
     similarity_energy_model,
     solve_exact,
@@ -226,12 +228,45 @@ class TestRunSemantics:
         state = run_crf(ContinuousCrfState.from_observed(observed), sim, cfg)
         assert 0 < state.steps_done < 500
 
+    @pytest.mark.parametrize("schedule", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("tol", [0.0, 1e-4])
+    def test_run_equals_chained_steps(self, schedule, tol):
+        # the per-step path is the referee for the sweep run_crf prepares once
+        rng = np.random.default_rng(9)
+        cloud = random_cloud(rng, 30, d=3)
+        cloud.positions[0] += 10.0  # a node without neighbors
+        graph = radius_graph(cloud, 0.3)
+        assert graph.degrees[0] == 0 and graph.num_edges > 0
+        sim = pairwise_similarity(cloud.features, graph, PointwiseTransform.identity())
+        compat = random_pd_compat(rng, 3)
+        cfg = config(compat, steps=60, schedule=schedule, tol=tol)
+        start = ContinuousCrfState.from_observed(cloud.features)
+        run = run_crf(start, sim, cfg)
+        model = similarity_energy_model(sim, compat, start.observed)
+        chained = ContinuousCrfState(
+            start.observed, start.latent, energy_trace=[evaluate_energy(model, start.latent)]
+        )
+        for _ in range(cfg.steps):
+            candidate = crf_step(chained, sim, cfg)
+            if np.max(np.abs(candidate.latent - chained.latent)) < tol:
+                break
+            chained = candidate
+        assert run.steps_done == chained.steps_done
+        assert (run.steps_done == 60) if tol == 0 else (0 < run.steps_done < 60)
+        np.testing.assert_array_equal(run.latent, chained.latent)
+        assert run.energy_trace == chained.energy_trace
+        assert run.latent[0].tolist() == start.observed[0].tolist()
+
     def test_zero_tolerance_runs_every_step(self):
         sim, observed = two_node_setup()
         cfg = config(CompatibilityMatrix.identity(1), steps=7, tol=0.0)
         state = run_crf(ContinuousCrfState.from_observed(observed), sim, cfg)
         assert state.steps_done == 7
         assert len(state.energy_trace) == 8  # initial energy plus one per step
+        # an update that changes nothing is still applied at tolerance 0
+        still = SimilarityField(NeighborGraph(2, [0, 0, 0], []), [])
+        state = run_crf(ContinuousCrfState.from_observed(observed), still, cfg)
+        assert state.steps_done == 7
 
 
 class TestEnergyTrace:

@@ -9,6 +9,7 @@ from pointcrf import (
     Activation,
     AffineLayer,
     CompatibilityMatrix,
+    ContinuousCrfState,
     CrfConfig,
     NeighborGraph,
     PointwiseTransform,
@@ -16,6 +17,9 @@ from pointcrf import (
     crf_convolve,
     crf_gradients,
     knn_graph,
+    pairwise_similarity,
+    radius_graph,
+    run_crf,
 )
 from util import graph_from_lists, random_cloud
 
@@ -176,6 +180,50 @@ def test_gauss_seidel_is_rejected():
     )
     with pytest.raises(UnsupportedScheduleError):
         crf_gradients(inputs, graph, unary, projection, guide, bad, upstream)
+
+
+@pytest.mark.parametrize("kind", ["knn", "radius"])
+def test_early_stop_equals_the_realized_steps_at_zero_tolerance(kind):
+    rng = np.random.default_rng(6)
+    graph, unary, projection, _, cfg, inputs, guide, upstream = build_instance(
+        rng, n=12, steps=40
+    )
+    if kind == "radius":
+        cloud = random_cloud(rng, 12, d=0)
+        cloud.positions[0] += 10.0  # a node without neighbors
+        graph = radius_graph(cloud, 0.4)
+        assert graph.degrees[0] == 0 and graph.num_edges > 0
+    stopping = CrfConfig(compat=cfg.compat, steps=40, convergence_tol=1e-3, readout=cfg.readout)
+    sim = pairwise_similarity(guide, graph, projection)
+    realized = run_crf(ContinuousCrfState.from_observed(unary.apply(inputs)), sim, stopping)
+    assert 0 < realized.steps_done < 40
+    fixed = CrfConfig(compat=cfg.compat, steps=realized.steps_done, readout=cfg.readout)
+    got = crf_gradients(inputs, graph, unary, projection, guide, stopping, upstream)
+    want = crf_gradients(inputs, graph, unary, projection, guide, fixed, upstream)
+    np.testing.assert_array_equal(got.inputs, want.inputs)
+    np.testing.assert_array_equal(got.compat_factor, want.compat_factor)
+    for got_pair, want_pair in zip(got.unary + got.projection, want.unary + want.projection):
+        for g, w in zip(got_pair, want_pair):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_mis_sized_unary_input_names_the_width():
+    rng = np.random.default_rng(7)
+    graph, unary, projection, _, cfg, inputs, guide, upstream = build_instance(rng, d_in=3)
+    wide = rng.normal(size=(inputs.shape[0], 5))
+    for layer in (crf_convolve, lambda *a: crf_gradients(*a, upstream)):
+        with pytest.raises(ValueError, match="transform expects width 3, got 5"):
+            layer(wide, graph, unary, projection, guide, cfg)
+
+
+@pytest.mark.parametrize("rows", [4, 9])
+def test_guide_with_wrong_row_count_is_rejected(rows):
+    rng = np.random.default_rng(8)
+    graph, unary, projection, _, cfg, inputs, _, upstream = build_instance(rng, n=6)
+    guide = rng.normal(size=(rows, inputs.shape[1]))
+    for layer in (crf_convolve, lambda *a: crf_gradients(*a, upstream)):
+        with pytest.raises(ValueError, match=r"features must have shape \(6, d'\)"):
+            layer(inputs, graph, unary, projection, guide, cfg)
 
 
 @st.composite
