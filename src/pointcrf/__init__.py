@@ -53,10 +53,8 @@ from .crf_discrete import (
 )
 from .diffusion import (
     ComparisonRow,
-    ConvergenceError,
     DiffusionComparison,
     compare_crf_vs_diffusion,
-    diffuse_to_steady,
     diffusion_step,
     multichannel_dirichlet,
 )

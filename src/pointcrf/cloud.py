@@ -513,7 +513,9 @@ def knn_interpolate(coarse: PointCloud, fine_positions: np.ndarray, k: int = 3) 
         raise ValueError("knn_interpolate requires a non-empty coarse cloud")
     if k < 1:
         raise ValueError("k must be >= 1")
-    fine_positions = np.asarray(fine_positions, dtype=np.float64).reshape(-1, 3)
+    fine_positions = np.asarray(fine_positions, dtype=np.float64)
+    if fine_positions.ndim != 2 or fine_positions.shape[1] != 3:
+        raise ValueError(f"fine_positions must have shape (M, 3), got {fine_positions.shape}")
     if not np.all(np.isfinite(fine_positions)):
         raise ValueError("fine_positions must be finite")
     take = min(k, coarse.num_points)

@@ -308,7 +308,8 @@ def similarity_energy_model(
 def _prepare_sweep(sim: SimilarityField, compat: CompatibilityMatrix, schedule: str, observed):
     """The ``crf_step`` update of one run as a function latent -> next latent.
 
-    All that does not depend on the latent state is built once. Gauss-seidel
+    Rejects an anchor of the wrong shape or with a non-finite entry. All
+    that does not depend on the latent state is built once. Gauss-seidel
     sweeps each channel of x' = x Q, C = Q diag(lambda) Q^T, by one
     triangular solve (I - a_c tril(S)) x'_c = z'_c / (1 + lambda_c) +
     a_c triu(S) x_old'_c, a_c = lambda_c / (1 + lambda_c), rhs z'_i on rows
@@ -318,6 +319,9 @@ def _prepare_sweep(sim: SimilarityField, compat: CompatibilityMatrix, schedule: 
     if observed.shape != (sim.num_nodes, compat.dim):
         raise ValueError(f"anchor features have shape {observed.shape}; this field and "
                          f"compatibility matrix need ({sim.num_nodes}, {compat.dim})")
+    bad = ~np.isfinite(observed).all(axis=1)
+    if bad.any():
+        raise ValueError(f"anchor features must be finite; row {np.argmax(bad)} is not")
     isolated = sim.graph.degrees == 0
     s = sim.graph.operator
     if schedule == "jacobi":
@@ -408,21 +412,23 @@ def crf_convolve(
     projection: PointwiseTransform,
     guide_features: np.ndarray,
     cfg: CrfConfig,
-    return_state: bool = False,
-):
+) -> np.ndarray:
     """Full layer: unary transform, similarity, message passing, readout.
 
     ``guide_features`` drive the similarities (typically lower-level features
     at the same resolution); ``inputs`` pass through the unary transform to
-    become both the anchor and the initial latent state.
+    become both the anchor and the initial latent state. The message passing
+    takes the states ``run_crf`` accepts, with the same early stop, so the
+    output equals the readout of ``run_crf``'s latent state bit for bit; no
+    energy is evaluated.
     """
     observed = unary.apply(inputs)
     sim = pairwise_similarity(guide_features, graph, projection)
-    state = run_crf(ContinuousCrfState.from_observed(observed), sim, cfg)
-    out = cfg.readout.apply(state.latent)
-    if return_state:
-        return out, state
-    return out
+    sweep = _prepare_sweep(sim, cfg.compat, cfg.schedule, observed)
+    latent = observed.copy()  # so an identity layer never returns the caller's array
+    for latent in _accepted_states(sweep, latent, cfg.steps, cfg.convergence_tol):
+        pass
+    return cfg.readout.apply(latent)
 
 
 def mean_field_covariance(sim: SimilarityField, compat: CompatibilityMatrix) -> np.ndarray:

@@ -5,6 +5,7 @@ neighborhood consensus through a label compatibility matrix, with edge
 strengths from a mixture of Gaussian kernels over point features.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -278,6 +279,8 @@ def read_probabilities(path, tol: float = 1e-6) -> np.ndarray:
         except ValueError:
             raise ValueError(f"{path}: row {lineno}: non-numeric entry") from None
         total = sum(row)
+        if not math.isfinite(total):
+            raise ValueError(f"{path}: row {lineno}: non-finite probability")
         if abs(total - 1.0) > tol:
             raise ValueError(
                 f"{path}: row {lineno}: probabilities sum to {total!r}, expected 1"

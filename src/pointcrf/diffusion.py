@@ -14,9 +14,7 @@ from .energy import CompatibilityMatrix, dirichlet_energy
 from .crf_continuous import SimilarityField, _prepare_sweep
 
 __all__ = [
-    "ConvergenceError",
     "diffusion_step",
-    "diffuse_to_steady",
     "multichannel_dirichlet",
     "ComparisonRow",
     "DiffusionComparison",
@@ -24,17 +22,6 @@ __all__ = [
 ]
 
 DEFAULT_COEFFICIENT = 0.5
-DEFAULT_STEADY_TOL = 1e-10
-
-
-class ConvergenceError(RuntimeError):
-    """Diffusion failed to reach a steady state within the step budget."""
-
-    def __init__(self, message: str, residual: float, state: np.ndarray, steps: int):
-        super().__init__(message)
-        self.residual = residual
-        self.state = state
-        self.steps = steps
 
 
 def diffusion_step(
@@ -56,44 +43,6 @@ def diffusion_step(
         raise ValueError("diffusion requires edge weights")
     deg = segment_reduce(graph.weights, graph.indptr)
     return signal - coefficient * (deg[:, None] * signal - graph.operator @ signal)
-
-
-def diffuse_to_steady(
-    signal: np.ndarray,
-    graph: NeighborGraph,
-    coefficient: float = DEFAULT_COEFFICIENT,
-    tol: float = DEFAULT_STEADY_TOL,
-    max_steps: int | None = None,
-):
-    """Iterate diffusion until the per-step change drops below ``tol``.
-
-    Returns (steady_state, steps_applied); a step that would change nothing
-    by at least ``tol`` is not applied, so an already-steady input reports
-    zero steps. Raises ConvergenceError (carrying the final residual and
-    state) if the budget of max_steps (default 10 * N) runs out.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if max_steps is None:
-        max_steps = 10 * graph.num_nodes
-    current = np.array(signal, dtype=np.float64)
-    for step in range(max_steps):
-        candidate = diffusion_step(current, graph, coefficient)
-        change = float(np.max(np.abs(candidate - current), initial=0.0))
-        if change < tol:
-            return current, step
-        current = candidate
-    candidate = diffusion_step(current, graph, coefficient)
-    residual = float(np.max(np.abs(candidate - current), initial=0.0))
-    if residual < tol:
-        return current, max_steps
-    raise ConvergenceError(
-        f"diffusion did not settle within {max_steps} steps "
-        f"(final residual {residual:.3e}, tol {tol:.3e})",
-        residual=residual,
-        state=current,
-        steps=max_steps,
-    )
 
 
 def multichannel_dirichlet(graph: NeighborGraph, signal: np.ndarray) -> float:
@@ -131,8 +80,8 @@ def compare_crf_vs_diffusion(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     observed = np.asarray(observed, dtype=np.float64)
-    if observed.ndim != 2 or not np.all(np.isfinite(observed)):
-        raise ValueError(f"observed must be a finite (N, d) array, got shape {observed.shape}")
+    if observed.ndim != 2:
+        raise ValueError(f"observed must be an (N, d) array, got shape {observed.shape}")
     sweep = _prepare_sweep(sim, CompatibilityMatrix.identity(observed.shape[1]), "jacobi", observed)
     crf = heat = observed
     rows = []

@@ -1,14 +1,17 @@
 """End-to-end CLI tests through click's runner."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pointcrf import PointCloud, write_cloud, write_probabilities
-from pointcrf.cli import main
-from util import random_cloud
+from pointcrf import PointCloud, evaluate_energy, write_cloud, write_probabilities
+from pointcrf.cli import _prelude, _write_csv, main
+from util import random_cloud, reference_sweep_rows
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -178,6 +181,18 @@ class TestRefineLabels:
         assert result.exit_code != 0
         assert "row 2" in result.output
 
+    def test_nan_probability_names_the_file_and_row(self, runner, tmp_path):
+        # nan passes both the row-sum and the sign test, so the reader must say so
+        make_cloud(tmp_path, n=3)
+        (tmp_path / "probs.csv").write_text("0.5,0.5\nnan,0.5\n0.5,0.5\n")
+        config = write_config(
+            tmp_path / "config.json",
+            discrete={"probabilities": str(tmp_path / "probs.csv")},
+        )
+        result = runner.invoke(main, ["refine-labels", "--config", str(config)])
+        assert result.exit_code != 0
+        assert "probs.csv: row 2: non-finite probability" in result.output
+
     def test_writes_hard_labels(self, runner, tmp_path):
         make_cloud(tmp_path, n=4)
         write_probabilities(tmp_path / "probs.csv", np.array([[0.9, 0.1]] * 4))
@@ -237,6 +252,36 @@ class TestSweepSteps:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
         energies = [float(r.split(",")[1]) for r in rows]
         assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
+
+    @pytest.mark.parametrize("case", ["knn-jacobi", "radius-gs"])
+    def test_one_resumed_run_equals_a_fresh_run_per_count(self, runner, tmp_path, monkeypatch,
+                                                          case):
+        monkeypatch.chdir(GOLDEN)
+        config = json.loads((GOLDEN / f"{case}.json").read_text())
+        config["crf"]["tol"] = 1e-3
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = ["--config", str(tmp_path / "config.json"), "--output-dir", str(tmp_path)]
+        result = runner.invoke(main, ["sweep-steps", "--steps-list", "8,1,3,3,20"] + args)
+        assert result.exit_code == 0, result.output
+        run = _prelude(str(tmp_path / "config.json"), None, None, str(tmp_path / "ref"))
+        assert run.crf.convergence_tol == 1e-3
+        _write_csv(run.out / "sweep.csv", "steps,final_energy,fidelity,wall_time_s",
+                   reference_sweep_rows(run.observed, run.sim, run.crf, [8, 1, 3, 3, 20]))
+        assert (tmp_path / "sweep.csv").read_bytes() == (run.out / "sweep.csv").read_bytes()
+
+    def test_default_list_evaluates_one_energy_per_sweep(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return evaluate_energy(*args)
+
+        monkeypatch.setattr("pointcrf.crf_continuous.evaluate_energy", counting)
+        make_cloud(tmp_path, n=7)
+        config = write_config(tmp_path / "config.json")
+        result = runner.invoke(main, ["sweep-steps", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1 + 50  # the initial energy, then one per sweep up to 50
 
 
 class TestCheckOracle:

@@ -4,6 +4,8 @@ Graph builders are checked against brute-force per-node references that sort
 the full distance list independently of the library's vectorized path.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -347,3 +349,10 @@ class TestKnnInterpolate:
         fine = np.array([[0.5, 0.0, 0.0], [bad, 0.0, 0.0]])
         with pytest.raises(ValueError, match="fine_positions must be finite"):
             knn_interpolate(coarse, fine, k=2)
+
+    @pytest.mark.parametrize("shape", [(6, 2), (3,), (2, 3, 3)])
+    def test_fine_positions_must_be_m_by_3(self, shape):
+        # (6, 2) holds 12 values, which a reshape would take as 4 points
+        coarse = collinear_cloud([0.0, 2.0], features=[[0.0], [3.0]])
+        with pytest.raises(ValueError, match=rf"\(M, 3\), got {re.escape(str(shape))}"):
+            knn_interpolate(coarse, np.zeros(shape), k=2)

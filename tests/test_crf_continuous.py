@@ -21,8 +21,10 @@ from pointcrf import (
     PointwiseTransform,
     SimilarityField,
     balance_similarity,
+    compare_crf_vs_diffusion,
     coordinate_descent_step,
     crf_convolve,
+    crf_gradients,
     crf_step,
     decode_level,
     evaluate_energy,
@@ -41,6 +43,7 @@ from util import (
     random_cloud,
     random_pd_compat,
     random_symmetric_graph,
+    reference_crf_convolve,
     symmetric_stochastic_field,
 )
 
@@ -331,17 +334,44 @@ class TestCrfConvolve:
             convergence_tol=math.inf,
             readout=Activation.leaky_relu(0.1),
         )
-        out, state = crf_convolve(
+        out = crf_convolve(
             cloud.features,
             graph,
             PointwiseTransform.identity(),
             PointwiseTransform.identity(),
             cloud.features,
             cfg,
-            return_state=True,
         )
-        assert state.steps_done == 0
         np.testing.assert_array_equal(out, Activation.leaky_relu(0.1).apply(cloud.features))
+
+    @pytest.mark.parametrize("schedule", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("tol", [0.0, 1e-3, math.inf])
+    def test_equals_energy_traced_referee(self, schedule, tol):
+        rng = np.random.default_rng(19)
+        cloud = random_cloud(rng, 30, d=3)
+        cloud.positions[0] += 10.0  # a node without neighbors
+        graph = radius_graph(cloud, 1.0)
+        assert graph.degrees[0] == 0 and graph.num_edges > 40
+        unary = PointwiseTransform.linear(rng.normal(size=(2, 3)), rng.normal(size=2))
+        projection = PointwiseTransform.linear(rng.normal(size=(4, 3)))
+        cfg = CrfConfig(compat=random_pd_compat(rng, 2), steps=40, schedule=schedule,
+                        convergence_tol=tol)
+        args = (cloud.features, graph, unary, projection, rng.normal(size=(30, 3)), cfg)
+        np.testing.assert_array_equal(crf_convolve(*args), reference_crf_convolve(*args))
+
+    def test_evaluates_no_energy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate_energy called")
+
+        monkeypatch.setattr("pointcrf.crf_continuous.evaluate_energy", refuse)
+        rng = np.random.default_rng(20)
+        coarse, fine = random_cloud(rng, 5, d=2), random_cloud(rng, 12, d=2)
+        cfg = CrfConfig(compat=random_pd_compat(rng, 2), steps=3)
+        identity = PointwiseTransform.identity()
+        graph = random_symmetric_graph(rng, 12)
+        out = crf_convolve(fine.features, graph, identity, identity, fine.features, cfg)
+        assert out.shape == (12, 2)
+        assert decode_level(coarse, fine, 3, identity, identity, cfg).shape == (12, 4)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
@@ -475,6 +505,28 @@ class TestUpdateEquivalence:
         state = ContinuousCrfState(observed=observed, latent=latent)
         stepped = crf_step(state, sim, config(compat))
         np.testing.assert_allclose(general, stepped.latent, atol=1e-11)
+
+
+class TestNonFiniteAnchor:
+    @pytest.mark.parametrize("entry", ["crf_convolve", "crf_gradients", "run_crf", "compare"])
+    def test_every_loop_rejects_it(self, entry):
+        # one check in the shared sweep covers every loop that builds it
+        rng = np.random.default_rng(21)
+        graph = random_symmetric_graph(rng, 6)
+        inputs = rng.normal(size=(6, 2))
+        inputs[3, 1] = np.nan
+        identity, guide = PointwiseTransform.identity(), inputs[:, :1]
+        cfg = CrfConfig(compat=random_pd_compat(rng, 2), steps=2)
+        sim = pairwise_similarity(guide, graph, identity)
+        layer = (inputs, graph, identity, identity, guide, cfg)
+        calls = {
+            "crf_convolve": lambda: crf_convolve(*layer),
+            "crf_gradients": lambda: crf_gradients(*layer, np.ones((6, 2))),
+            "run_crf": lambda: run_crf(ContinuousCrfState(inputs, np.zeros((6, 2))), sim, cfg),
+            "compare": lambda: compare_crf_vs_diffusion(inputs, sim, 2),
+        }
+        with pytest.raises(ValueError, match="finite"):
+            calls[entry]()
 
 
 # ---------------------------------------------------------------------------

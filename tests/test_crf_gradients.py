@@ -279,8 +279,11 @@ def leaky_layer(params, fixed):
         readout=Activation.leaky_relu(0.2),
     )
     args = (params["inputs"], fixed["graph"], unary, projection, fixed["guide"], cfg)
-    out, state = crf_convolve(*args, return_state=True)
-    kinks = [params["inputs"] @ params["uw"].T + params["ub"], state.latent]
+    observed = unary.apply(params["inputs"])
+    sim = pairwise_similarity(fixed["guide"], fixed["graph"], projection)
+    latent = run_crf(ContinuousCrfState.from_observed(observed), sim, cfg).latent
+    kinks = [params["inputs"] @ params["uw"].T + params["ub"], latent]
+    out = crf_convolve(*args)
     return out, kinks, crf_gradients(*args, fixed["upstream"])
 
 

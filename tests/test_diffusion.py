@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from pointcrf import (
-    ConvergenceError,
     NeighborGraph,
     SimilarityField,
     compare_crf_vs_diffusion,
-    diffuse_to_steady,
     diffusion_step,
     multichannel_dirichlet,
 )
-from util import symmetric_stochastic_field
+from util import ConvergenceError, diffuse_to_steady, symmetric_stochastic_field
 
 
 def two_node_graph():

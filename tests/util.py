@@ -1,6 +1,7 @@
 """Shared builders for randomized test instances."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -8,11 +9,17 @@ import scipy.sparse.linalg as spla
 
 from pointcrf import (
     CompatibilityMatrix,
+    ContinuousCrfState,
     NeighborGraph,
     PointCloud,
     SimilarityField,
+    diffusion_step,
+    pairwise_similarity,
+    run_crf,
 )
+from pointcrf.cli import _fmt
 from pointcrf.cloud import COINCIDENT_DISTANCE
+from pointcrf.diffusion import DEFAULT_COEFFICIENT
 
 
 def graph_from_lists(neighbors, weights=None) -> NeighborGraph:
@@ -327,3 +334,86 @@ def reference_gauss_seidel_step(observed, latent, sim, compat):
             msg = vals[a:b] @ latent[indices[a:b]]
             latent[i] = inverse @ (observed[i] + coupling @ msg)
     return latent
+
+
+# ---------------------------------------------------------------------------
+# Diffusion to a steady state: the consensus referee. Plain diffusion drifts
+# to per-component consensus, the contrast to the anchored update that the
+# diffusion tests pin; the library itself only runs fixed step counts.
+# ---------------------------------------------------------------------------
+
+DEFAULT_STEADY_TOL = 1e-10
+
+
+class ConvergenceError(RuntimeError):
+    """Diffusion failed to reach a steady state within the step budget."""
+
+    def __init__(self, message: str, residual: float, state: np.ndarray, steps: int):
+        super().__init__(message)
+        self.residual = residual
+        self.state = state
+        self.steps = steps
+
+
+def diffuse_to_steady(
+    signal: np.ndarray,
+    graph: NeighborGraph,
+    coefficient: float = DEFAULT_COEFFICIENT,
+    tol: float = DEFAULT_STEADY_TOL,
+    max_steps: int | None = None,
+):
+    """Iterate diffusion until the per-step change drops below ``tol``.
+
+    Returns (steady_state, steps_applied); a step that would change nothing
+    by at least ``tol`` is not applied, so an already-steady input reports
+    zero steps. Raises ConvergenceError (carrying the final residual and
+    state) if the budget of max_steps (default 10 * N) runs out.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    if max_steps is None:
+        max_steps = 10 * graph.num_nodes
+    current = np.array(signal, dtype=np.float64)
+    for step in range(max_steps):
+        candidate = diffusion_step(current, graph, coefficient)
+        change = float(np.max(np.abs(candidate - current), initial=0.0))
+        if change < tol:
+            return current, step
+        current = candidate
+    candidate = diffusion_step(current, graph, coefficient)
+    residual = float(np.max(np.abs(candidate - current), initial=0.0))
+    if residual < tol:
+        return current, max_steps
+    raise ConvergenceError(
+        f"diffusion did not settle within {max_steps} steps "
+        f"(final residual {residual:.3e}, tol {tol:.3e})",
+        residual=residual,
+        state=current,
+        steps=max_steps,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Energy-traced layer and per-count step sweep: crf_convolve as it ran before
+# it stepped the prepared sweep without an energy trace, and sweep-steps as
+# it ran before it resumed one run across its counts.
+# ---------------------------------------------------------------------------
+
+def reference_crf_convolve(inputs, graph, unary, projection, guide_features, cfg):
+    """Unary transform, similarity, a traced ``run_crf`` from the anchor, readout."""
+    observed = unary.apply(inputs)
+    sim = pairwise_similarity(guide_features, graph, projection)
+    state = run_crf(ContinuousCrfState.from_observed(observed), sim, cfg)
+    return cfg.readout.apply(state.latent)
+
+
+def reference_sweep_rows(observed, sim, crf, step_counts):
+    """``sweep.csv`` rows with timing off, from one fresh ``run_crf`` per count."""
+    rows = []
+    for count in step_counts:
+        state = run_crf(
+            ContinuousCrfState.from_observed(observed), sim, replace(crf, steps=count)
+        )
+        fidelity = float(np.linalg.norm(state.latent - observed))
+        rows.append((str(count), _fmt(state.energy_trace[-1]), _fmt(fidelity), _fmt(0.0)))
+    return rows
