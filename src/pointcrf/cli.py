@@ -23,7 +23,9 @@ from .cloud import (
     knn_graph,
     radius_graph,
     read_cloud,
+    read_table,
     write_cloud,
+    write_table,
 )
 from .crf_continuous import (
     ContinuousCrfState,
@@ -39,7 +41,6 @@ from .crf_discrete import (
     KernelMixture,
     LabelCompatibility,
     discrete_crf_infer,
-    read_matrix_csv,
     read_probabilities,
     write_probabilities,
 )
@@ -52,10 +53,6 @@ OUTPUT_DIR_ENV = "POINTCRF_OUTPUT_DIR"
 ORACLE_MAX_SWEEPS = 10000
 ORACLE_TOL = 1e-12
 ORACLE_PASS_BOUND = 1e-8
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +200,8 @@ def _load_cloud(cfg: RunConfig) -> PointCloud:
         return read_cloud(cfg.input_path, cfg.input_format)
     except FileNotFoundError:
         raise ConfigError(f"input file not found: {cfg.input_path}")
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.input_path}: {exc}")
+    except ValueError as exc:  # read_cloud names the file
+        raise ConfigError(str(exc))
 
 
 def _build_graph(cfg: RunConfig, cloud: PointCloud):
@@ -239,7 +236,7 @@ def _compat_for(cfg: RunConfig, dim: int) -> CompatibilityMatrix:
     if choice == "scaled-identity":
         return CompatibilityMatrix(factor=np.eye(dim), epsilon=cfg.crf.epsilon)
     try:
-        factor = read_matrix_csv(choice)
+        factor = read_table(choice)[0]
     except FileNotFoundError:
         raise ConfigError(f"compat factor file not found: {choice}")
     except ValueError as exc:
@@ -263,13 +260,6 @@ def _crf_config(cfg: RunConfig, dim: int) -> CrfConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(cell for cell in row) for row in rows)
-    path.write_text("".join(line + "\n" for line in lines))
 
 
 def _common_options(fn):
@@ -335,11 +325,10 @@ def cmd_build_graph(config_path, input_path, input_format, output_dir):
     """Build the configured neighbor graph and write it as a CSV edge list."""
     cfg, out = _prepare(config_path, input_path, input_format, output_dir)
     graph = _build_graph(cfg, _load_cloud(cfg))
-    edges = zip(graph.edge_src.tolist(), graph.indices.tolist(), graph.weights.tolist())
-    rows = [(str(i), str(j), _fmt(dist)) for i, j, dist in edges]
+    rows = zip(graph.edge_src.tolist(), graph.indices.tolist(), graph.weights.tolist())
     target = out / "graph.csv"
-    _write_csv(target, "src,dst,distance", rows)
-    click.echo(f"wrote {len(rows)} edges to {target}", err=True)
+    write_table(target, rows, "src,dst,distance")
+    click.echo(f"wrote {graph.num_edges} edges to {target}", err=True)
 
 
 @main.command("smooth")
@@ -355,15 +344,14 @@ def cmd_smooth(config_path, input_path, input_format, output_dir, check_exact):
     cloud_out = run.out / ("smoothed.ply" if fmt == "ply-ascii" else "smoothed.csv")
     write_cloud(PointCloud(positions=run.cloud.positions, features=smoothed), cloud_out, fmt)
     trace_out = run.out / "trace.csv"
-    _write_csv(trace_out, "step,energy",
-               [(str(i), _fmt(e)) for i, e in enumerate(state.energy_trace)])
+    write_table(trace_out, enumerate(state.energy_trace), "step,energy")
     click.echo(
         f"applied {state.steps_done} steps; wrote {cloud_out} and {trace_out}", err=True
     )
     if check_exact:
         exact = solve_exact(similarity_energy_model(run.sim, run.crf.compat, run.observed))
         deviation = float(np.max(np.abs(state.latent - exact), initial=0.0))
-        click.echo(f"max deviation from exact solve: {_fmt(deviation)}", err=True)
+        click.echo(f"max deviation from exact solve: {deviation!r}", err=True)
 
 
 @main.command("refine-labels")
@@ -395,6 +383,9 @@ def cmd_refine_labels(config_path, input_path, input_format, output_dir, prob_pa
         )
     if cfg.discrete.feature_source == "positions":
         features = cloud.positions
+    elif cloud.feature_dim == 0:
+        raise ConfigError(f"discrete.feature_source is {cfg.discrete.feature_source!r}, "
+                          f"but {cfg.input_path} has no feature columns")
     elif cfg.discrete.feature_source == "features":
         features = cloud.features
     else:
@@ -430,7 +421,7 @@ def cmd_refine_labels(config_path, input_path, input_format, output_dir, prob_pa
     write_probabilities(prob_out, result.posterior)
     hard = np.argmax(result.posterior, axis=1)
     labels_out = out / "labels.csv"
-    labels_out.write_text("".join(f"{int(v)}\n" for v in hard))
+    write_table(labels_out, hard[:, None])
     click.echo(f"refined {unary.shape[0]} rows; wrote {prob_out} and {labels_out}", err=True)
 
 
@@ -441,17 +432,14 @@ def cmd_diffuse_compare(config_path, input_path, input_format, output_dir):
     run = _prelude(config_path, input_path, input_format, output_dir, anchored=False)
     report = compare_crf_vs_diffusion(run.guide, run.sim, run.cfg.diffusion.steps)
     target = run.out / "compare.csv"
-    _write_csv(
+    write_table(
         target,
+        [(r.step, r.crf_fidelity, r.crf_dirichlet, r.diffusion_fidelity, r.diffusion_dirichlet)
+         for r in report.rows],
         "step,crf_fidelity,crf_dirichlet,diff_fidelity,diff_dirichlet",
-        [
-            (str(r.step), _fmt(r.crf_fidelity), _fmt(r.crf_dirichlet),
-             _fmt(r.diffusion_fidelity), _fmt(r.diffusion_dirichlet))
-            for r in report.rows
-        ],
     )
     click.echo(
-        f"step-1 max difference between processes: {_fmt(report.step_one_max_difference)}",
+        f"step-1 max difference between processes: {report.step_one_max_difference!r}",
         err=True,
     )
     click.echo(f"wrote {target}", err=True)
@@ -479,19 +467,21 @@ def cmd_sweep_steps(config_path, input_path, input_format, output_dir, steps_lis
         raise ConfigError("--steps-list needs positive integers")
     run = _prelude(config_path, input_path, input_format, output_dir)
     state = ContinuousCrfState.from_observed(run.observed)
-    reached = {}
+    reached, done = {}, 0
     start = time.perf_counter()
     for count in sorted(set(step_counts)):
-        state = run_crf(state, run.sim, replace(run.crf, steps=count - state.steps_done))
-        fidelity = float(np.linalg.norm(state.latent - run.observed))
-        reached[count] = (state.energy_trace[-1], fidelity, time.perf_counter() - start)
+        if state.steps_done == done:  # otherwise the run stopped early and stays stopped
+            state = run_crf(state, run.sim, replace(run.crf, steps=count - done))
+            fidelity = float(np.linalg.norm(state.latent - run.observed))
+            row = (state.energy_trace[-1], fidelity, time.perf_counter() - start)
+        reached[count], done = row, count
     rows = []
     for count in step_counts:
         energy, fidelity, elapsed = reached[count]
-        rows.append((str(count), _fmt(energy), _fmt(fidelity), _fmt(elapsed if timing else 0.0)))
+        rows.append((count, energy, fidelity, elapsed if timing else 0.0))
         click.echo(f"steps={count}: energy={energy!r} ({elapsed:.3f}s)", err=True)
     target = run.out / "sweep.csv"
-    _write_csv(target, "steps,final_energy,fidelity,wall_time_s", rows)
+    write_table(target, rows, "steps,final_energy,fidelity,wall_time_s")
     click.echo(f"wrote {target}", err=True)
 
 
@@ -519,15 +509,8 @@ def cmd_check_oracle(config_path, input_path, input_format, output_dir):
     scale = 1.0 + float(np.max(np.abs(exact), initial=0.0))
     relative = deviation / scale
     target = run.out / "oracle.csv"
-    _write_csv(
-        target,
-        "max_deviation,relative_deviation,sweeps",
-        [(_fmt(deviation), _fmt(relative), str(sweeps))],
-    )
-    click.echo(
-        f"iterative vs exact: max deviation {_fmt(deviation)} after {sweeps} sweeps",
-        err=True,
-    )
+    write_table(target, [(deviation, relative, sweeps)], "max_deviation,relative_deviation,sweeps")
+    click.echo(f"iterative vs exact: max deviation {deviation!r} after {sweeps} sweeps", err=True)
     if relative > ORACLE_PASS_BOUND:
         raise click.ClickException(
             f"oracle check failed: relative deviation {relative:.3e} > {ORACLE_PASS_BOUND:.0e}"

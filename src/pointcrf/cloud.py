@@ -36,13 +36,7 @@ COINCIDENT_DISTANCE = 1e-12
 
 
 class CloudParseError(ValueError):
-    """A cloud file failed to parse; the message names the offending line."""
-
-
-def _format_value(value: float) -> str:
-    # repr round-trips float64 exactly, which keeps file output deterministic
-    # and makes read(write(cloud)) bit-identical.
-    return repr(float(value))
+    """A cloud or numeric table file failed to parse; the message names the file."""
 
 
 @dataclass
@@ -234,67 +228,84 @@ _PLY_SCALAR_TYPES = {
 }
 
 
+def read_table(path):
+    """The comma-separated numeric table at ``path`` and the line number of each row.
+
+    Blank lines are skipped and every row must have the first row's width.
+    Errors are CloudParseError, worded ``"{path}: line N: ..."``.
+    """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise CloudParseError(f"{path}: {exc}") from None
+    rows, lines = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if rows and len(parts) != len(rows[0]):
+            raise CloudParseError(
+                f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(parts)}"
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise CloudParseError(f"{path}: line {lineno}: non-numeric field") from None
+        lines.append(lineno)
+    width = len(rows[0]) if rows else 0
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width), lines
+
+
+def write_table(path, rows, header: str | None = None, sep: str = ",") -> None:
+    """Write one line per row, cells joined by ``sep``, after ``header`` if given.
+
+    An array goes through ``tolist()`` first, so every cell is a Python int
+    or float written with ``repr``, which round-trips a float64 exactly.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    body = "".join(sep.join(map(repr, row)) + "\n" for row in rows)
+    Path(path).write_text(("" if header is None else header + "\n") + body)
+
+
 def read_cloud(path, format: str) -> PointCloud:
     """Read a point cloud from ``path``.
 
     ``csv-xyz`` expects comma-separated rows ``x,y,z[,f1..fd]`` with no header;
     ``ply-ascii`` expects an ascii 1.0 PLY whose vertex properties include
     x, y, z. Extra columns/properties become the feature vector in file order.
+    Every error names the file.
     """
-    path = Path(path)
     if format not in _FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {_FORMATS}")
-    text = path.read_text()
-    if format == "csv-xyz":
-        return _parse_csv(text)
-    return _parse_ply(text)
+    if format == "ply-ascii":
+        try:
+            return _parse_ply(Path(path).read_text())
+        except ValueError as exc:
+            raise CloudParseError(f"{path}: {exc}") from None
+    table, lines = read_table(path)
+    if lines and table.shape[1] < 3:
+        raise CloudParseError(
+            f"{path}: line {lines[0]}: expected at least 3 columns, got {table.shape[1]}"
+        )
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise CloudParseError(f"{path}: line {lines[np.argmin(finite)]}: non-finite value")
+    return PointCloud.from_columns(table if lines else np.empty((0, 3)))
 
 
 def write_cloud(cloud: PointCloud, path, format: str) -> None:
     """Write ``cloud`` to ``path``; read_cloud round-trips values exactly."""
-    path = Path(path)
     if format not in _FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {_FORMATS}")
     if format == "csv-xyz":
-        lines = [
-            ",".join(_format_value(v) for v in row)
-            for row in cloud.to_columns()
-        ]
-        path.write_text("".join(line + "\n" for line in lines))
+        write_table(path, cloud.to_columns())
         return
-    d = cloud.feature_dim
     header = ["ply", "format ascii 1.0", f"element vertex {cloud.num_points}"]
-    for name in ("x", "y", "z"):
-        header.append(f"property double {name}")
-    for j in range(d):
-        header.append(f"property double f{j}")
+    header += [f"property double {name}" for name in ("x", "y", "z")]
+    header += [f"property double f{j}" for j in range(cloud.feature_dim)]
     header.append("end_header")
-    body = [" ".join(_format_value(v) for v in row) for row in cloud.to_columns()]
-    path.write_text("".join(line + "\n" for line in header + body))
-
-
-def _parse_csv(text: str) -> PointCloud:
-    rows = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if width is None:
-            width = len(parts)
-            if width < 3:
-                raise CloudParseError(f"line {lineno}: expected at least 3 columns, got {width}")
-        elif len(parts) != width:
-            raise CloudParseError(
-                f"line {lineno}: expected {width} columns, got {len(parts)}"
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise CloudParseError(f"line {lineno}: non-numeric field") from None
-    if not rows:
-        return PointCloud(positions=np.empty((0, 3)), features=np.empty((0, 0)))
-    return PointCloud.from_columns(np.array(rows, dtype=np.float64))
+    write_table(path, cloud.to_columns(), "\n".join(header), sep=" ")
 
 
 def _parse_ply(text: str) -> PointCloud:

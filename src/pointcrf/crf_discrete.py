@@ -8,11 +8,10 @@ strengths from a mixture of Gaussian kernels over point features.
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .cloud import NeighborGraph
+from .cloud import NeighborGraph, read_table, write_table
 from .transform import AffineLayer, read_layer_stack, write_layer_stack
 
 __all__ = [
@@ -31,6 +30,9 @@ __all__ = [
 UNARY_FLOOR = 1e-12
 
 SIMPLEX_TOL = 1e-9
+
+# Each row of a probability file must sum to 1 within this.
+PROBABILITY_TOL = 1e-6
 
 
 def _check_simplex(rows: np.ndarray, name: str, tol: float = SIMPLEX_TOL) -> None:
@@ -161,27 +163,7 @@ class LabelCompatibility:
 
     @classmethod
     def load(cls, path) -> "LabelCompatibility":
-        return cls(matrix=read_matrix_csv(path))
-
-    def save(self, path) -> None:
-        lines = [",".join(repr(float(v)) for v in row) for row in self.matrix]
-        Path(path).write_text("".join(line + "\n" for line in lines))
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    """Comma-separated matrix, one row per non-blank line; a non-numeric entry
-    or a row of another length than the first is a ValueError naming the line."""
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(v) for v in line.split(",")])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
-        if len(rows[-1]) != len(rows[0]):
-            raise ValueError(f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(rows[-1])}")
-    return np.array(rows, dtype=np.float64)
+        return cls(matrix=read_table(path)[0])
 
 
 def kernel_weights(
@@ -262,38 +244,24 @@ def discrete_crf_infer(
 # Probability CSV (N rows, L columns)
 # ---------------------------------------------------------------------------
 
-def read_probabilities(path, tol: float = 1e-6) -> np.ndarray:
-    """Read an N x L probability table, validating each row sums to 1."""
-    rows = []
-    width = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise ValueError(f"{path}: row {lineno}: expected {width} columns")
-        try:
-            row = [float(v) for v in parts]
-        except ValueError:
-            raise ValueError(f"{path}: row {lineno}: non-numeric entry") from None
-        total = sum(row)
-        if not math.isfinite(total):
-            raise ValueError(f"{path}: row {lineno}: non-finite probability")
-        if abs(total - 1.0) > tol:
-            raise ValueError(
-                f"{path}: row {lineno}: probabilities sum to {total!r}, expected 1"
-            )
-        if any(v < 0 for v in row):
-            raise ValueError(f"{path}: row {lineno}: negative probability")
-        rows.append(row)
-    if not rows:
+def read_probabilities(path) -> np.ndarray:
+    """Read an N x L probability table whose rows each sum to 1 within PROBABILITY_TOL."""
+    table, lines = read_table(path)
+    if not lines:
         raise ValueError(f"{path}: no probability rows found")
-    return np.array(rows, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are reported below
+        totals = np.cumsum(table, axis=1)[:, -1]  # each row added left to right
+    bad = ~(np.abs(totals - 1.0) <= PROBABILITY_TOL) | (table < 0).any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        total, where = float(totals[row]), f"{path}: row {lines[row]}"
+        if not math.isfinite(total):
+            raise ValueError(f"{where}: non-finite probability")
+        if abs(total - 1.0) > PROBABILITY_TOL:
+            raise ValueError(f"{where}: probabilities sum to {total!r}, expected 1")
+        raise ValueError(f"{where}: negative probability")
+    return table
 
 
 def write_probabilities(path, table: np.ndarray) -> None:
-    table = np.asarray(table, dtype=np.float64)
-    lines = [",".join(repr(float(v)) for v in row) for row in table]
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    write_table(path, np.asarray(table, dtype=np.float64))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pointcrf.crf_continuous
 from pointcrf import PointCloud, evaluate_energy, write_cloud, write_probabilities
-from pointcrf.cli import _prelude, _write_csv, main
-from util import random_cloud, reference_sweep_rows
+from pointcrf.cli import _prelude, main
+from util import random_cloud, reference_sweep_rows, reference_write_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -193,6 +194,21 @@ class TestRefineLabels:
         assert result.exit_code != 0
         assert "probs.csv: row 2: non-finite probability" in result.output
 
+    @pytest.mark.parametrize("source", ["features", "positions+features"])
+    def test_feature_source_without_feature_columns_is_a_config_error(self, runner, tmp_path,
+                                                                      source):
+        make_cloud(tmp_path, n=4, d=0)
+        write_probabilities(tmp_path / "probs.csv", np.full((4, 2), 0.5))
+        config = write_config(
+            tmp_path / "config.json",
+            discrete={"feature_source": source, "probabilities": str(tmp_path / "probs.csv")},
+        )
+        result = runner.invoke(main, ["refine-labels", "--config", str(config)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"discrete.feature_source is {source!r}" in result.output
+        assert not (tmp_path / "out" / "probabilities.csv").exists()
+
     def test_writes_hard_labels(self, runner, tmp_path):
         make_cloud(tmp_path, n=4)
         write_probabilities(tmp_path / "probs.csv", np.array([[0.9, 0.1]] * 4))
@@ -265,8 +281,35 @@ class TestSweepSteps:
         assert result.exit_code == 0, result.output
         run = _prelude(str(tmp_path / "config.json"), None, None, str(tmp_path / "ref"))
         assert run.crf.convergence_tol == 1e-3
-        _write_csv(run.out / "sweep.csv", "steps,final_energy,fidelity,wall_time_s",
-                   reference_sweep_rows(run.observed, run.sim, run.crf, [8, 1, 3, 3, 20]))
+        reference_write_csv(run.out / "sweep.csv", "steps,final_energy,fidelity,wall_time_s",
+                            reference_sweep_rows(run.observed, run.sim, run.crf, [8, 1, 3, 3, 20]))
+        assert (tmp_path / "sweep.csv").read_bytes() == (run.out / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("case, needed", [("knn-jacobi", 13), ("radius-gs", 7)])
+    def test_a_run_that_stopped_early_is_not_stepped_again(self, runner, tmp_path, monkeypatch,
+                                                           case, needed):
+        # tol 1e-3 stops knn-jacobi after 12 accepted sweeps and radius-gs after 6;
+        # each rejects one more, and no later count may recompute it
+        sweeps = []
+        prepare = pointcrf.crf_continuous._prepare_sweep
+
+        def counting(*args):
+            sweep = prepare(*args)
+            return lambda latent: sweeps.append(None) or sweep(latent)
+
+        monkeypatch.chdir(GOLDEN)
+        config = json.loads((GOLDEN / f"{case}.json").read_text())
+        config["crf"]["tol"] = 1e-3
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        run = _prelude(str(tmp_path / "config.json"), None, None, str(tmp_path / "ref"))
+        reference_write_csv(run.out / "sweep.csv", "steps,final_energy,fidelity,wall_time_s",
+                            reference_sweep_rows(run.observed, run.sim, run.crf,
+                                                 [1, 2, 5, 10, 20, 50]))
+        monkeypatch.setattr(pointcrf.crf_continuous, "_prepare_sweep", counting)
+        result = runner.invoke(main, ["sweep-steps", "--config", str(tmp_path / "config.json"),
+                                      "--output-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert len(sweeps) == needed
         assert (tmp_path / "sweep.csv").read_bytes() == (run.out / "sweep.csv").read_bytes()
 
     def test_default_list_evaluates_one_energy_per_sweep(self, runner, tmp_path, monkeypatch):
@@ -334,6 +377,16 @@ class TestInputFiles:
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"{ragged}: line 2: expected 2 columns, got 1" in result.output
+
+    def test_non_finite_cloud_value_names_the_file_and_line_once(self, runner, tmp_path):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("0,0,0\n1,nan,3\n2,2,2\n")
+        config = write_config(tmp_path / "config.json")
+        result = runner.invoke(main, ["smooth", "--config", str(config)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"Error: {cloud}: line 2: non-finite value" in result.output
+        assert result.output.count(str(cloud)) == 1
 
     def test_missing_compat_factor_file_is_a_config_error(self, runner, tmp_path):
         make_cloud(tmp_path)

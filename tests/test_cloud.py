@@ -72,6 +72,18 @@ class TestCloudIO:
         with pytest.raises(CloudParseError, match="line 2"):
             read_cloud(path, "csv-xyz")
 
+    @pytest.mark.parametrize("format, text, where", [
+        ("csv-xyz", "0,0,0\n\n1,inf,3\n", "line 3: non-finite value"),
+        ("ply-ascii", "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+         "property float y\nproperty float z\nend_header\n1 nan 3\n",
+         "positions contain non-finite values"),
+    ], ids=["csv", "ply"])
+    def test_non_finite_value_names_the_file(self, tmp_path, format, text, where):
+        path = tmp_path / "nan.dat"
+        path.write_text(text)
+        with pytest.raises(CloudParseError, match=re.escape(f"{path}: {where}")):
+            read_cloud(path, format)
+
     def test_ply_rgb_schema(self, tmp_path):
         path = tmp_path / "c.ply"
         path.write_text(

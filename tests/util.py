@@ -1,13 +1,16 @@
 """Shared builders for randomized test instances."""
 
+import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pointcrf import (
+    CloudParseError,
     CompatibilityMatrix,
     ContinuousCrfState,
     NeighborGraph,
@@ -17,7 +20,6 @@ from pointcrf import (
     pairwise_similarity,
     run_crf,
 )
-from pointcrf.cli import _fmt
 from pointcrf.cloud import COINCIDENT_DISTANCE
 from pointcrf.diffusion import DEFAULT_COEFFICIENT
 
@@ -415,5 +417,126 @@ def reference_sweep_rows(observed, sim, crf, step_counts):
             ContinuousCrfState.from_observed(observed), sim, replace(crf, steps=count)
         )
         fidelity = float(np.linalg.norm(state.latent - observed))
-        rows.append((str(count), _fmt(state.energy_trace[-1]), _fmt(fidelity), _fmt(0.0)))
+        rows.append((str(count), reference_fmt(state.energy_trace[-1]), reference_fmt(fidelity),
+                     reference_fmt(0.0)))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Text tables: the three readers and the writers of comma-separated numbers
+# that cloud.py, crf_discrete.py and cli.py each kept before they shared
+# cloud.read_table and cloud.format_rows, kept as their referees.
+# ---------------------------------------------------------------------------
+
+def reference_parse_csv(text: str) -> PointCloud:
+    rows = []
+    width = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+            if width < 3:
+                raise CloudParseError(f"line {lineno}: expected at least 3 columns, got {width}")
+        elif len(parts) != width:
+            raise CloudParseError(
+                f"line {lineno}: expected {width} columns, got {len(parts)}"
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise CloudParseError(f"line {lineno}: non-numeric field") from None
+    if not rows:
+        return PointCloud(positions=np.empty((0, 3)), features=np.empty((0, 0)))
+    return PointCloud.from_columns(np.array(rows, dtype=np.float64))
+
+
+def reference_read_matrix_csv(path) -> np.ndarray:
+    """Comma-separated matrix, one row per non-blank line; a non-numeric entry
+    or a row of another length than the first is a ValueError naming the line."""
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(rows[-1])}")
+    return np.array(rows, dtype=np.float64)
+
+
+def reference_read_probabilities(path, tol: float = 1e-6) -> np.ndarray:
+    """Read an N x L probability table, validating each row sums to 1."""
+    rows = []
+    width = None
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise ValueError(f"{path}: row {lineno}: expected {width} columns")
+        try:
+            row = [float(v) for v in parts]
+        except ValueError:
+            raise ValueError(f"{path}: row {lineno}: non-numeric entry") from None
+        total = sum(row)
+        if not math.isfinite(total):
+            raise ValueError(f"{path}: row {lineno}: non-finite probability")
+        if abs(total - 1.0) > tol:
+            raise ValueError(
+                f"{path}: row {lineno}: probabilities sum to {total!r}, expected 1"
+            )
+        if any(v < 0 for v in row):
+            raise ValueError(f"{path}: row {lineno}: negative probability")
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no probability rows found")
+    return np.array(rows, dtype=np.float64)
+
+
+def reference_format_value(value: float) -> str:
+    # repr round-trips float64 exactly, which keeps file output deterministic
+    # and makes read(write(cloud)) bit-identical.
+    return repr(float(value))
+
+
+def reference_write_cloud(cloud: PointCloud, path, format: str) -> None:
+    """Write ``cloud`` to ``path``; read_cloud round-trips values exactly."""
+    path = Path(path)
+    if format == "csv-xyz":
+        lines = [
+            ",".join(reference_format_value(v) for v in row)
+            for row in cloud.to_columns()
+        ]
+        path.write_text("".join(line + "\n" for line in lines))
+        return
+    d = cloud.feature_dim
+    header = ["ply", "format ascii 1.0", f"element vertex {cloud.num_points}"]
+    for name in ("x", "y", "z"):
+        header.append(f"property double {name}")
+    for j in range(d):
+        header.append(f"property double f{j}")
+    header.append("end_header")
+    body = [" ".join(reference_format_value(v) for v in row) for row in cloud.to_columns()]
+    path.write_text("".join(line + "\n" for line in header + body))
+
+
+def reference_write_probabilities(path, table: np.ndarray) -> None:
+    table = np.asarray(table, dtype=np.float64)
+    lines = [",".join(repr(float(v)) for v in row) for row in table]
+    Path(path).write_text("".join(line + "\n" for line in lines))
+
+
+def reference_fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def reference_write_csv(path: Path, header: str, rows) -> None:
+    lines = [header]
+    lines.extend(",".join(cell for cell in row) for row in rows)
+    path.write_text("".join(line + "\n" for line in lines))
