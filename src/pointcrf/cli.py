@@ -179,6 +179,8 @@ def load_config(path) -> RunConfig:
         diffusion=_section(raw, "diffusion", DiffusionSection, positive={"steps"}),
         seed=_get(raw, "seed", 0, int, ""),
     )
+    if cfg.input_format not in ("csv-xyz", "ply-ascii"):
+        raise ConfigError("input.format must be csv-xyz or ply-ascii")
     if cfg.graph.method not in ("knn", "dilated-knn", "radius"):
         raise ConfigError("graph.method must be knn, dilated-knn, or radius")
     if cfg.discrete.feature_source not in ("positions", "features", "positions+features"):

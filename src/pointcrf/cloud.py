@@ -280,7 +280,9 @@ def read_cloud(path, format: str) -> PointCloud:
         raise ValueError(f"unknown format {format!r}; expected one of {_FORMATS}")
     if format == "ply-ascii":
         try:
-            return _parse_ply(Path(path).read_text())
+            # bytes that are not UTF-8 survive decoding, so a binary body
+            # fails on its header's format line, not on the decoder
+            return _parse_ply(Path(path).read_text(errors="surrogateescape"))
         except ValueError as exc:
             raise CloudParseError(f"{path}: {exc}") from None
     table, lines = read_table(path)
@@ -397,38 +399,93 @@ def _parse_ply(text: str) -> PointCloud:
 # Graph construction
 # ---------------------------------------------------------------------------
 
+# Extra neighbors the fixed-width query fetches beyond the ``count`` it must
+# rank, so that a row rarely ends inside a tie and needs the ball.
+_SLACK = 2
+# Pairs whose coordinate differences are held in memory at once.
+_PAIR_BLOCK = 1 << 16
+
+
 def _ranked_pairs(points, queries=None, count=None, r2=None):
     """Candidate (query, point) pairs sorted by (row, d2, col), with the rank in each row.
 
-    Row i holds every point within the ``count``-th smallest squared distance
-    of ``queries[i]`` (no ``queries``: of point i, itself left out), or within
-    ``r2``. A KD-tree only proposes candidates, searching a ball padded by a
-    relative 1e-9 so points tied at the reach all come back; d2 comes from
-    coordinate differences (coincident points give exactly 0.0) and ties go
-    to the lower index, as in a brute-force search. Many points tied at the
-    reach (e.g. coincident ones) still cost O(N^2).
+    Row i ranks the points nearest ``queries[i]`` (no ``queries``: point i,
+    itself left out). With ``count``, ranks below ``count`` equal a
+    brute-force search; with ``r2``, the row holds every point within it. d2
+    comes from coordinate differences (coincident points give exactly 0.0)
+    and ties go to the lower index.
+
+    A ``count`` search is one fixed-width KD-tree query of ``count + _SLACK``
+    candidates per row (plus the row's own point), each row sorted on its
+    own, keeping its ``count`` nearest. A row whose farthest candidate is
+    still within a relative 1e-9 of the reach, the tree's ``count``-th
+    distance, may have been cut inside a tie. Such rows, and radius searches,
+    take every point of a ball padded by that 1e-9 instead, so points tied at
+    the reach all come back. Many points tied at the reach (e.g. coincident
+    ones) still cost O(N^2).
     """
     from scipy.spatial import cKDTree  # deferred: only graph building pays the import
 
     self_rows = queries is None
     queries = points if self_rows else queries
     tree = cKDTree(points)
-    m = queries.shape[0]
+    m, n = queries.shape[0], points.shape[0]
     if count is None:
-        reach = math.sqrt(r2)
-    else:
-        reach = tree.query(queries, k=[min(count + self_rows, len(points))])[0].reshape(m)
-    found = tree.query_ball_point(queries, reach * (1.0 + 1e-9))
-    sizes = np.fromiter(map(len, found), dtype=np.int64, count=m)
-    rows = np.repeat(np.arange(m, dtype=np.int64), sizes)
+        return _ball_pairs(tree, points, queries, np.arange(m), math.sqrt(r2), self_rows)
+    need = min(count + self_rows, n)
+    width = min(need + _SLACK, n)
+    dist, cols = (a.reshape(m, width) for a in tree.query(queries, k=width))
+    reach = dist[:, need - 1]
+    tied = (width < n) & (dist[:, -1] <= reach * (1.0 + 1e-9))
+    fixed = np.flatnonzero(~tied)
+    cols = cols[fixed]
+    cols.sort(axis=1)
+    if self_rows:  # a row that is not tied holds its own point exactly once
+        width -= 1
+        cols = cols[cols != fixed[:, None]].reshape(fixed.size, width)
+    d2 = _pair_d2(queries, points, np.repeat(fixed, width), cols.reshape(-1))
+    d2 = d2.reshape(fixed.size, width)
+    keep = need - self_rows
+    order = np.argsort(d2, axis=1, kind="stable")[:, :keep]
+    pairs = (
+        np.repeat(fixed, keep),
+        np.take_along_axis(cols, order, axis=1).reshape(-1),
+        np.take_along_axis(d2, order, axis=1).reshape(-1),
+        np.tile(np.arange(keep), fixed.size),
+    )
+    if not tied.any():
+        return pairs
+    ball = _ball_pairs(tree, points, queries, np.flatnonzero(tied), reach[tied], self_rows)
+    merged = [np.concatenate(parts) for parts in zip(pairs, ball)]
+    order = np.argsort(merged[0], kind="stable")
+    return tuple(part[order] for part in merged)
+
+
+def _ball_pairs(tree, points, queries, rows_of, reach, self_rows):
+    """``_ranked_pairs`` for queries ``rows_of``: every point within ``reach``, padded."""
+    found = tree.query_ball_point(queries[rows_of], reach * (1.0 + 1e-9))
+    sizes = np.fromiter(map(len, found), dtype=np.int64, count=rows_of.size)
+    rows = np.repeat(rows_of, sizes)
     cols = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64, count=rows.size)
     if self_rows:
         rows, cols = rows[rows != cols], cols[rows != cols]
-    diff = queries[rows] - points[cols]
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = _pair_d2(queries, points, rows, cols)
     order = np.lexsort((cols, d2, rows))
     rows, cols, d2 = rows[order], cols[order], d2[order]
-    return rows, cols, d2, np.arange(rows.size) - _indptr(rows, m)[rows]
+    return rows, cols, d2, np.arange(rows.size) - _indptr(rows, len(queries))[rows]
+
+
+def _pair_d2(queries, points, rows, cols) -> np.ndarray:
+    """Squared distance of each (row, col) pair from coordinate differences.
+
+    The differences are formed ``_PAIR_BLOCK`` pairs at a time; each block
+    sums them with the same einsum, so the bits do not depend on the block.
+    """
+    d2 = np.empty(rows.size)
+    for s in range(0, rows.size, _PAIR_BLOCK):
+        diff = queries[rows[s : s + _PAIR_BLOCK]] - points[cols[s : s + _PAIR_BLOCK]]
+        d2[s : s + _PAIR_BLOCK] = np.einsum("ij,ij->i", diff, diff)
+    return d2
 
 
 def _indptr(rows, m) -> np.ndarray:

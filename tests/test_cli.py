@@ -415,6 +415,7 @@ class TestConfigValues:
             ({"diffusion": {"tol": -1}}, "diffuse-compare", "tol"),
             ({"diffusion": {"max_steps": "x"}}, "diffuse-compare", "max_steps"),
             ({"threads": 1}, "build-graph", "threads"),
+            ({"input": {"format": "xyz"}}, "build-graph", "input.format"),
         ],
     )
     def test_bad_value_is_a_config_error_naming_the_key(

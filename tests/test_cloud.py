@@ -5,6 +5,7 @@ the full distance list independently of the library's vectorized path.
 """
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -102,6 +103,14 @@ class TestCloudIO:
         path = tmp_path / "c.ply"
         path.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")
         with pytest.raises(CloudParseError, match="ascii"):
+            read_cloud(path, "ply-ascii")
+
+    def test_ply_binary_body_fails_on_the_format_line(self, tmp_path):
+        path = tmp_path / "b.ply"
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+                  "property double x\nproperty double y\nproperty double z\nend_header\n")
+        path.write_bytes(header.encode() + struct.pack("<3d", 1.0, -2.5, 3.0))
+        with pytest.raises(CloudParseError, match=r"b\.ply: line 2: only 'format ascii 1\.0'"):
             read_cloud(path, "ply-ascii")
 
     def test_ply_ignores_zero_count_elements(self, tmp_path):

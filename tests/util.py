@@ -1,5 +1,6 @@
 """Shared builders for randomized test instances."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -20,7 +21,7 @@ from pointcrf import (
     pairwise_similarity,
     run_crf,
 )
-from pointcrf.cloud import COINCIDENT_DISTANCE
+from pointcrf.cloud import COINCIDENT_DISTANCE, _indptr
 from pointcrf.diffusion import DEFAULT_COEFFICIENT
 
 
@@ -247,6 +248,45 @@ def reference_interpolate(coarse, fine_positions, k):
         w = 1.0 / d2[:take]
         out[i] = (w[:, None] * coarse.features[idx[:take]]).sum(axis=0) / w.sum()
     return out
+
+
+# ---------------------------------------------------------------------------
+# Padded-ball candidate search: the KD-tree core every kNN graph and
+# knn_interpolate ran before the fixed-width query, kept as its referee.
+# ---------------------------------------------------------------------------
+
+def reference_ranked_pairs(points, queries=None, count=None, r2=None):
+    """Candidate (query, point) pairs sorted by (row, d2, col), with the rank in each row.
+
+    Row i holds every point within the ``count``-th smallest squared distance
+    of ``queries[i]`` (no ``queries``: of point i, itself left out), or within
+    ``r2``. A KD-tree only proposes candidates, searching a ball padded by a
+    relative 1e-9 so points tied at the reach all come back; d2 comes from
+    coordinate differences (coincident points give exactly 0.0) and ties go
+    to the lower index, as in a brute-force search. Many points tied at the
+    reach (e.g. coincident ones) still cost O(N^2).
+    """
+    from scipy.spatial import cKDTree  # deferred: only graph building pays the import
+
+    self_rows = queries is None
+    queries = points if self_rows else queries
+    tree = cKDTree(points)
+    m = queries.shape[0]
+    if count is None:
+        reach = math.sqrt(r2)
+    else:
+        reach = tree.query(queries, k=[min(count + self_rows, len(points))])[0].reshape(m)
+    found = tree.query_ball_point(queries, reach * (1.0 + 1e-9))
+    sizes = np.fromiter(map(len, found), dtype=np.int64, count=m)
+    rows = np.repeat(np.arange(m, dtype=np.int64), sizes)
+    cols = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64, count=rows.size)
+    if self_rows:
+        rows, cols = rows[rows != cols], cols[rows != cols]
+    diff = queries[rows] - points[cols]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    order = np.lexsort((cols, d2, rows))
+    rows, cols, d2 = rows[order], cols[order], d2[order]
+    return rows, cols, d2, np.arange(rows.size) - _indptr(rows, m)[rows]
 
 
 # ---------------------------------------------------------------------------
